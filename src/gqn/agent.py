@@ -59,6 +59,17 @@ class Hyperparams:
             raise ValueError(f"train_every must be >= 1, got {self.train_every}")
         if not self.huber_delta > 0:
             raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
+        if self.target_period < 1:
+            raise ValueError(f"target_period must be >= 1, got {self.target_period}")
+        if not self.learning_rate >= 0:
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if self.replay_capacity < max(self.batch_size, self.min_fill):
+            raise ValueError(
+                f"replay_capacity {self.replay_capacity} is below max(batch_size, min_fill) = "
+                f"{max(self.batch_size, self.min_fill)}, so training would never start")
 
 
 def epsilon_schedule(env_steps: int, total_env_steps: int, hyper: Hyperparams) -> float:
@@ -100,6 +111,7 @@ class GqnAgent:
         self.target_net = self.online_net.clone()
         self.adam = nets.init_adam(self.online_net, hyper.learning_rate,
                                    hyper.adam_beta1, hyper.adam_beta2, hyper.adam_epsilon)
+        self._grads = nets.NetGrads.zeros_like(self.online_net)  # train_step's backward buffer
         self.explore_rng = np.random.default_rng(int(seeds[1]))
         self.replay = PrioritizedReplay(hyper.replay_capacity, alpha=hyper.per_alpha,
                                         eps_priority=hyper.per_eps, seed=int(seeds[2]))
@@ -140,70 +152,63 @@ class GqnAgent:
 
     # -- targets and updates ------------------------------------------------
 
-    def _bootstrap_bins(self, boot_states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-dimension bootstrap bin choice over the current active set.
+    def _targets(self, batch: Batch, online_boot: np.ndarray) -> np.ndarray:
+        """td_target, given the online net's output at the bootstrap states.
 
-        Returns (target-net utilities, chosen full-grid bins). The argmax
-        comes from the online net (double-Q) unless pure_target_max is set.
+        Its per-dimension argmax over the active bins picks the bootstrap
+        bins (double-Q) unless pure_target_max is set; the target net
+        scores them.
         """
+        b, m = batch.action_bins.shape
         active = active_indices(self.ladder)
-        target_util = self.utilities(self.target_net, boot_states)
+        target_util = self.utilities(self.target_net, batch.bootstrap_states)
         chooser = target_util if self.hyper.pure_target_max else \
-            self.utilities(self.online_net, boot_states)
+            online_boot.reshape(target_util.shape)
         bins = active[np.argmax(chooser[:, :, active], axis=2)]
-        return target_util, bins
+        selected = target_util[np.arange(b)[:, None], np.arange(m)[None, :], bins]
+        boot_value = selected.sum(axis=1) / m
+        return batch.n_step_rewards + batch.bootstrap_discounts * boot_value
 
     def td_target(self, batch: Batch) -> np.ndarray:
         """n-step targets: reward sum plus discounted masked bootstrap value."""
         if len(batch) == 0:
             raise ValueError("empty batch")
-        target_util, bins = self._bootstrap_bins(batch.bootstrap_states)
-        b, m = bins.shape
-        selected = target_util[np.arange(b)[:, None], np.arange(m)[None, :], bins]
-        boot_value = selected.sum(axis=1) / m
-        return batch.n_step_rewards + batch.bootstrap_discounts * boot_value
-
-    def predicted_q(self, batch: Batch) -> tuple[np.ndarray, nets.ForwardCache, np.ndarray]:
-        """Joint Q at the stored action bins, plus what backprop needs."""
-        out, cache = nets.forward(self.online_net, batch.states)
-        b, m = batch.action_bins.shape
-        n_full = self.ladder.full_bins
-        flat_idx = batch.action_bins + np.arange(m)[None, :] * n_full
-        pred = out[np.arange(b)[:, None], flat_idx].sum(axis=1) / m
-        return pred, cache, flat_idx
+        online_boot, _ = nets.forward(self.online_net, batch.bootstrap_states)
+        return self._targets(batch, online_boot)
 
     def train_step(self, beta: float | None = None) -> dict[str, float]:
         """One PER-weighted gradient step; returns loss/TD diagnostics.
 
         Gradient flows only through the M selected utility entries per
         sample, each carrying 1/M of the sample's loss gradient. Hard
-        target sync every target_period gradient steps.
+        target sync every target_period gradient steps. One online forward
+        over [states; bootstrap states] serves both the prediction and the
+        double-Q bin choice.
         """
         hyper = self.hyper
         if beta is None:
             beta = hyper.per_beta_start
         batch, handles, weights = self.replay.sample(hyper.batch_size, beta)
-        targets = self.td_target(batch)
-        pred, cache, flat_idx = self.predicted_q(batch)
+        b, m = batch.action_bins.shape
+        out, cache = nets.forward(self.online_net,
+                                  np.concatenate([batch.states, batch.bootstrap_states]))
+        targets = self._targets(batch, out[b:])
+        flat_idx = batch.action_bins + np.arange(m)[None, :] * self.ladder.full_bins
+        rows = np.arange(b)[:, None]
+        pred = out[rows, flat_idx].sum(axis=1) / m
         loss, dloss_dpred = nets.huber_loss_and_grad(pred, targets, hyper.huber_delta, weights)
         if not np.isfinite(loss):
             raise DivergenceError(f"loss diverged (value {loss})")
-        b = len(batch)
-        out_grads = np.zeros((b, self.ladder.action_dim * self.ladder.full_bins))
-        out_grads[np.arange(b)[:, None], flat_idx] = \
-            (dloss_dpred / self.ladder.action_dim)[:, None]
-        grads = nets.backward(self.online_net, cache, out_grads)
-        nets.adam_step(self.online_net, grads, self.adam)
-        td_errors = targets - pred
-        self.replay.update_priorities(handles, np.abs(td_errors))
+        out_grads = np.zeros((b, out.shape[1]))
+        out_grads[rows, flat_idx] = (dloss_dpred / m)[:, None]
+        nets.backward(self.online_net, cache.head(b), out_grads, out=self._grads)
+        nets.adam_step(self.online_net, self._grads, self.adam)
+        abs_td = np.abs(targets - pred)
+        self.replay.update_priorities(handles, abs_td)
         self.grad_steps += 1
         if self.grad_steps % hyper.target_period == 0:
             nets.copy_params(self.online_net, self.target_net)
-        return {
-            "loss": loss,
-            "mean_td_error": float(np.mean(np.abs(td_errors))),
-            "mean_q": float(np.mean(pred)),
-        }
+        return {"loss": loss, "mean_td_error": float(abs_td.mean()), "mean_q": float(pred.mean())}
 
     def on_growth(self, new_ladder: ResolutionLadder) -> None:
         """Adopt the grown ladder. Heads for every bin have existed since

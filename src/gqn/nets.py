@@ -1,12 +1,14 @@
 """Dense feed-forward networks with analytic backprop, Huber loss, and Adam.
 
 All math runs in float64 so finite-difference gradient checks stay tight.
-Hidden layers use ReLU, the output layer is linear.
+Hidden layers use ReLU, the output layer is linear. A net's parameters, its
+gradients and each Adam moment live in one flat buffer apiece, with per-layer
+views into it, so a whole-model update is a handful of numpy calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,22 +20,44 @@ class DivergenceError(RuntimeError):
     """NaN or Inf appeared where the training math requires finite values."""
 
 
+def _pack(weights, biases, flat=None):
+    """One float64 buffer laid out w0, b0, w1, b1, ... with per-layer views.
+
+    Returns (flat, weight views, bias views); writes through a view change
+    the buffer, so whole-model updates run once over `flat`. Without `flat`
+    a new buffer holds copies of the arrays; with it, only their shapes are
+    used.
+    """
+    if len(weights) != len(biases):
+        raise ValueError(f"{len(weights)} weight arrays but {len(biases)} bias arrays")
+    arrays = [a for pair in zip(weights, biases) for a in pair]
+    if flat is None:
+        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
+    elif flat.size != sum(a.size for a in arrays):
+        raise ValueError(f"buffer of {flat.size} values does not fit the arrays")
+    views, offset = [], 0
+    for a in arrays:
+        views.append(flat[offset:offset + a.size].reshape(a.shape))
+        offset += a.size
+    return flat, views[0::2], views[1::2]
+
+
 @dataclass
 class DenseNet:
     layer_dims: tuple[int, ...]
     weights: list[np.ndarray]  # weights[k] has shape (layer_dims[k+1], layer_dims[k])
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def clone(self) -> "DenseNet":
-        return DenseNet(
-            layer_dims=self.layer_dims,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+        return replace(self)  # __post_init__ packs copies of the parameters
 
 
 @dataclass
@@ -42,15 +66,34 @@ class ForwardCache:
     pre_activations: list[np.ndarray]
     post_activations: list[np.ndarray]
 
+    def head(self, rows: int) -> "ForwardCache":
+        """The cache of the batch's first `rows` samples (views, no copy)."""
+        return ForwardCache(inputs=self.inputs[:rows],
+                            pre_activations=[z[:rows] for z in self.pre_activations],
+                            post_activations=[a[:rows] for a in self.post_activations])
+
 
 @dataclass
 class NetGrads:
+    """Gradients laid out like DenseNet: views into one flat buffer."""
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.weights, self.biases = _pack(self.weights, self.biases, self.flat)
+
+    @classmethod
+    def zeros_like(cls, net: DenseNet) -> "NetGrads":
+        # np.zeros leaves its pages unmapped until first written.
+        return cls(net.weights, net.biases, flat=np.zeros(net.flat.size))
 
 
 @dataclass
 class AdamState:
+    """Adam moments; m_* and v_* are views into the flat buffers m and v."""
+
     m_weights: list[np.ndarray]
     m_biases: list[np.ndarray]
     v_weights: list[np.ndarray]
@@ -60,19 +103,15 @@ class AdamState:
     beta1: float
     beta2: float
     epsilon: float
+    m: np.ndarray | None = field(default=None, repr=False, compare=False)
+    v: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.m, self.m_weights, self.m_biases = _pack(self.m_weights, self.m_biases, self.m)
+        self.v, self.v_weights, self.v_biases = _pack(self.v_weights, self.v_biases, self.v)
 
     def clone(self) -> "AdamState":
-        return AdamState(
-            m_weights=[m.copy() for m in self.m_weights],
-            m_biases=[m.copy() for m in self.m_biases],
-            v_weights=[v.copy() for v in self.v_weights],
-            v_biases=[v.copy() for v in self.v_biases],
-            step_count=self.step_count,
-            learning_rate=self.learning_rate,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            epsilon=self.epsilon,
-        )
+        return replace(self, m=None, v=None)  # without buffers, __post_init__ packs copies
 
 
 def init_net(layer_dims, seed) -> DenseNet:
@@ -103,15 +142,20 @@ def forward(net: DenseNet, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache
     a = x
     last = net.num_layers - 1
     for k in range(net.num_layers):
-        z = a @ net.weights[k].T + net.biases[k]
+        z = a @ net.weights[k].T
+        z += net.biases[k]
         pre.append(z)
         a = z if k == last else np.maximum(z, 0.0)
         post.append(a)
     return a, ForwardCache(inputs=x, pre_activations=pre, post_activations=post)
 
 
-def backward(net: DenseNet, cache: ForwardCache, output_grads: np.ndarray) -> NetGrads:
-    """Exact gradients of sum(outputs * output_grads) w.r.t. all parameters."""
+def backward(net: DenseNet, cache: ForwardCache, output_grads: np.ndarray,
+             out: NetGrads | None = None) -> NetGrads:
+    """Exact gradients of sum(outputs * output_grads) w.r.t. all parameters.
+
+    Written into `out` when given (laid out like `net`), else into fresh arrays.
+    """
     if len(cache.pre_activations) != net.num_layers:
         raise ValueError("cache does not match network depth")
     gout = np.asarray(output_grads, dtype=np.float64)
@@ -123,16 +167,16 @@ def backward(net: DenseNet, cache: ForwardCache, output_grads: np.ndarray) -> Ne
     for k in range(net.num_layers):
         if cache.pre_activations[k].shape[1] != net.layer_dims[k + 1]:
             raise ValueError("stale cache: layer widths do not match network")
-    d_w = [np.empty_like(w) for w in net.weights]
-    d_b = [np.empty_like(b) for b in net.biases]
+    if out is None:
+        out = NetGrads.zeros_like(net)
     delta = gout
     for k in range(net.num_layers - 1, -1, -1):
         a_prev = cache.inputs if k == 0 else cache.post_activations[k - 1]
-        d_w[k] = delta.T @ a_prev
-        d_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, a_prev, out=out.weights[k])
+        np.sum(delta, axis=0, out=out.biases[k])
         if k > 0:
             delta = (delta @ net.weights[k]) * (cache.pre_activations[k - 1] > 0.0)
-    return NetGrads(weights=d_w, biases=d_b)
+    return out
 
 
 def huber_loss_and_grad(pred, target, delta, sample_weights=None):
@@ -153,24 +197,27 @@ def huber_loss_and_grad(pred, target, delta, sample_weights=None):
         w = np.asarray(sample_weights, dtype=np.float64)
         if w.shape != pred.shape:
             raise ValueError("sample_weights length mismatch")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("sample_weights must be non-negative")
     batch = pred.shape[0]
     resid = target - pred
     abs_r = np.abs(resid)
     quad = abs_r <= delta
     per_item = np.where(quad, 0.5 * resid * resid, delta * (abs_r - 0.5 * delta))
-    loss = float(np.sum(w * per_item) / batch)
+    loss = float((w * per_item).sum() / batch)
     dloss_dpred = -w * np.clip(resid, -delta, delta) / batch
     return loss, dloss_dpred
 
 
 def init_adam(net: DenseNet, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8) -> AdamState:
+    m, v = NetGrads.zeros_like(net), NetGrads.zeros_like(net)
     return AdamState(
-        m_weights=[np.zeros_like(w) for w in net.weights],
-        m_biases=[np.zeros_like(b) for b in net.biases],
-        v_weights=[np.zeros_like(w) for w in net.weights],
-        v_biases=[np.zeros_like(b) for b in net.biases],
+        m_weights=m.weights,
+        m_biases=m.biases,
+        v_weights=v.weights,
+        v_biases=v.biases,
+        m=m.flat,
+        v=v.flat,
         step_count=0,
         learning_rate=float(learning_rate),
         beta1=float(beta1),
@@ -181,12 +228,14 @@ def init_adam(net: DenseNet, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon
 
 def adam_step(net: DenseNet, grads: NetGrads, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on net and state."""
-    for g in grads.weights + grads.biases:
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("non-finite gradient; update rejected")
     for g, w in zip(grads.weights, net.weights):
         if g.shape != w.shape:
             raise ValueError(f"gradient shape {g.shape} does not match weights {w.shape}")
+    g = grads.flat
+    if g.shape != net.flat.shape:
+        raise ValueError(f"gradient size {g.size} does not match parameter size {net.flat.size}")
+    if not np.isfinite(g).all():
+        raise DivergenceError("non-finite gradient; update rejected")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -194,28 +243,21 @@ def adam_step(net: DenseNet, grads: NetGrads, state: AdamState) -> None:
     corr = np.sqrt(1.0 - b2**t)
     lr_t = state.learning_rate * corr / (1.0 - b1**t)
     eps_t = state.epsilon * corr
-    params = net.weights + net.biases
-    grads_all = grads.weights + grads.biases
-    ms = state.m_weights + state.m_biases
-    vs = state.v_weights + state.v_biases
-    for p, g, m, v in zip(params, grads_all, ms, vs):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr_t * m / (np.sqrt(v) + eps_t)
-        if not np.all(np.isfinite(p)):
-            raise DivergenceError("non-finite parameter after update")
+    m, v, p = state.m, state.v, net.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    p -= lr_t * m / (np.sqrt(v) + eps_t)
+    if not np.isfinite(p).all():
+        raise DivergenceError("non-finite parameter after update")
 
 
 def copy_params(src: DenseNet, dst: DenseNet) -> None:
     """Hard sync dst <- src (deep copy of all parameters)."""
     if src.layer_dims != dst.layer_dims:
         raise ValueError(f"architecture mismatch: {src.layer_dims} vs {dst.layer_dims}")
-    for ws, wd in zip(src.weights, dst.weights):
-        np.copyto(wd, ws)
-    for bs, bd in zip(src.biases, dst.biases):
-        np.copyto(bd, bs)
+    np.copyto(dst.flat, src.flat)
 
 
 def net_state(net: DenseNet, adam: AdamState | None = None, prefix: str = ""):
@@ -247,17 +289,17 @@ def net_from_state(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""):
     n_layers = len(dims) - 1
     net = DenseNet(
         layer_dims=dims,
-        weights=[arrays[f"{prefix}w{k}"].copy() for k in range(n_layers)],
-        biases=[arrays[f"{prefix}b{k}"].copy() for k in range(n_layers)],
+        weights=[arrays[f"{prefix}w{k}"] for k in range(n_layers)],
+        biases=[arrays[f"{prefix}b{k}"] for k in range(n_layers)],
     )
     adam = None
     if "adam" in meta:
         a = meta["adam"]
         adam = AdamState(
-            m_weights=[arrays[f"{prefix}adam_mw{k}"].copy() for k in range(n_layers)],
-            m_biases=[arrays[f"{prefix}adam_mb{k}"].copy() for k in range(n_layers)],
-            v_weights=[arrays[f"{prefix}adam_vw{k}"].copy() for k in range(n_layers)],
-            v_biases=[arrays[f"{prefix}adam_vb{k}"].copy() for k in range(n_layers)],
+            m_weights=[arrays[f"{prefix}adam_mw{k}"] for k in range(n_layers)],
+            m_biases=[arrays[f"{prefix}adam_mb{k}"] for k in range(n_layers)],
+            v_weights=[arrays[f"{prefix}adam_vw{k}"] for k in range(n_layers)],
+            v_biases=[arrays[f"{prefix}adam_vb{k}"] for k in range(n_layers)],
             step_count=int(a["step_count"]),
             learning_rate=float(a["learning_rate"]),
             beta1=float(a["beta1"]),

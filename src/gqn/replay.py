@@ -66,10 +66,14 @@ class SumTree:
     def set_batch(self, slots: np.ndarray, priorities: np.ndarray) -> None:
         idx = np.asarray(slots, dtype=np.int64) + self.capacity
         self.nodes[idx] = priorities
-        parents = np.unique(idx >> 1)
-        while parents[0] >= 1:
-            self.nodes[parents] = self.nodes[2 * parents] + self.nodes[2 * parents + 1]
-            parents = np.unique(parents >> 1)
+        # Climb one level per row: row j holds each leaf's ancestor j + 1
+        # levels up, and node p's children are pairs[p]. A parent listed
+        # twice is written twice with the same sum, so duplicate slots need
+        # no np.unique.
+        pairs = self.nodes.reshape(-1, 2)
+        for parents in idx >> np.arange(1, self.depth + 1)[:, None]:
+            children = pairs.take(parents, axis=0)
+            self.nodes.put(parents, children[:, 0] + children[:, 1])
 
     def find_prefix(self, value: float) -> int:
         """Leaf slot whose cumulative range contains value (half-open)."""
@@ -87,11 +91,11 @@ class SumTree:
         idx = np.ones(values.shape[0], dtype=np.int64)
         vals = values.astype(np.float64, copy=True)
         for _ in range(self.depth):
-            left = 2 * idx
-            left_sums = self.nodes[left]
+            idx <<= 1
+            left_sums = self.nodes[idx]
             go_right = vals >= left_sums
-            vals -= np.where(go_right, left_sums, 0.0)
-            idx = left + go_right
+            np.subtract(vals, left_sums, out=vals, where=go_right)
+            idx += go_right
         return idx - self.capacity
 
 
@@ -230,11 +234,11 @@ class PrioritizedReplay:
         weights /= weights.max()
         handles = self._slot_to_handle(slots)
         batch = Batch(
-            states=self._states[slots].copy(),
-            action_bins=self._actions[slots].copy(),
-            n_step_rewards=self._rewards[slots].copy(),
-            bootstrap_states=self._boot_states[slots].copy(),
-            bootstrap_discounts=self._discounts[slots].copy(),
+            states=self._states[slots],
+            action_bins=self._actions[slots],
+            n_step_rewards=self._rewards[slots],
+            bootstrap_states=self._boot_states[slots],
+            bootstrap_discounts=self._discounts[slots],
         )
         return batch, handles, weights
 
@@ -260,16 +264,17 @@ class PrioritizedReplay:
         if handles.shape != td_errors.shape:
             raise ValueError("handles and td_errors must have equal length")
         live = (handles >= self.insert_count - self.capacity) & (handles < self.insert_count)
-        self.stale_update_count += int(np.sum(~live))
-        if not np.any(live):
-            return
-        handles = handles[live]
-        priorities = (np.abs(td_errors[live]) + self.eps_priority) ** self.alpha
+        if not live.all():
+            self.stale_update_count += int(np.count_nonzero(~live))
+            handles, td_errors = handles[live], td_errors[live]
+            if handles.size == 0:
+                return
+        priorities = (np.abs(td_errors) + self.eps_priority) ** self.alpha
         self.tree.set_batch(handles % self.capacity, priorities)
         self.max_priority = max(self.max_priority, float(priorities.max()))
 
     def state(self):
-        """(meta, arrays) snapshot for exact resume."""
+        """(meta, arrays) snapshot for exact resume: the live rows only."""
         if self._states is None:
             raise ValueError("cannot snapshot an empty, never-pushed buffer")
         meta = {
@@ -281,13 +286,15 @@ class PrioritizedReplay:
             "stale_update_count": self.stale_update_count,
             "rng_state": self.rng.bit_generator.state,
         }
+        live = self.size
+        leaves = self.tree.capacity
         arrays = {
-            "states": self._states,
-            "actions": self._actions,
-            "rewards": self._rewards,
-            "boot_states": self._boot_states,
-            "discounts": self._discounts,
-            "tree_leaves": self.tree.nodes[self.tree.capacity :],
+            "states": self._states[:live],
+            "actions": self._actions[:live],
+            "rewards": self._rewards[:live],
+            "boot_states": self._boot_states[:live],
+            "discounts": self._discounts[:live],
+            "tree_leaves": self.tree.nodes[leaves:leaves + live],
         }
         return meta, arrays
 
@@ -298,11 +305,18 @@ class PrioritizedReplay:
         buf.max_priority = float(meta["max_priority"])
         buf.stale_update_count = int(meta["stale_update_count"])
         buf.rng.bit_generator.state = meta["rng_state"]
-        buf._states = arrays["states"].copy()
-        buf._actions = arrays["actions"].astype(np.int64).copy()
-        buf._rewards = arrays["rewards"].copy()
-        buf._boot_states = arrays["boot_states"].copy()
-        buf._discounts = arrays["discounts"].copy()
+
+        def storage(rows, dtype=np.float64):
+            # Rows past the live ones are zero, as in a buffer that never wrapped.
+            out = np.zeros((buf.capacity, *rows.shape[1:]), dtype=dtype)
+            out[:rows.shape[0]] = rows
+            return out
+
+        buf._states = storage(arrays["states"])
+        buf._actions = storage(arrays["actions"], np.int64)
+        buf._rewards = storage(arrays["rewards"])
+        buf._boot_states = storage(arrays["boot_states"])
+        buf._discounts = storage(arrays["discounts"])
         leaves = arrays["tree_leaves"]
         buf.tree.set_batch(np.arange(leaves.shape[0]), leaves)
         return buf

@@ -342,3 +342,22 @@ class TestHyperparams:
             Hyperparams(huber_delta=0.0)
         with pytest.raises(ValueError):
             Hyperparams(n_step=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"target_period": 0}, "target_period"),
+        ({"learning_rate": -1e-4}, "learning_rate"),
+        ({"learning_rate": float("nan")}, "learning_rate"),
+        ({"epsilon_start": 3.0}, "epsilon_start"),
+        ({"epsilon_start": -0.1}, "epsilon_start"),
+        ({"epsilon_end": 1.5}, "epsilon_end"),
+        ({"epsilon_end": -0.01}, "epsilon_end"),
+        ({"replay_capacity": 128, "batch_size": 256, "min_fill": 1}, "never start"),
+        ({"replay_capacity": 500, "min_fill": 1000}, "never start"),
+    ])
+    def test_invalid_values_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            Hyperparams(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        Hyperparams(learning_rate=0.0, target_period=1, epsilon_start=0.0, epsilon_end=1.0)
+        Hyperparams(replay_capacity=1000, batch_size=1000, min_fill=1000)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gqn.blob import load_blob
 from gqn.envs import make_env
 from gqn.harness import (
     EvalRow,
@@ -123,6 +124,32 @@ class TestTrain:
         assert len(resumed.rows) == 3
         assert (tmp_path / "full" / "run.csv").read_bytes() == \
             (tmp_path / "resumed" / "run.csv").read_bytes()
+
+    def test_resume_after_ring_buffer_wraps(self, tmp_path):
+        # 6 episodes push 3000 transitions into a 1024-item replay, so the
+        # snapshot is taken after the ring has overwritten its oldest rows.
+        cfg = tiny_config(total_episodes=6, eval_every=2,
+                          hyper_overrides=dict(TINY_HYPER, replay_capacity=1024))
+        train(cfg, 0, tmp_path / "full", resume=False)
+        train(cfg, 0, tmp_path / "resumed", resume=False, stop_after_episode=3)
+        meta, arrays = load_blob(tmp_path / "resumed" / "state.bin")
+        replay = meta["replay"]
+        assert replay["insert_count"] > replay["capacity"] == 1024
+        for name in ("states", "actions", "rewards", "boot_states", "discounts", "tree_leaves"):
+            assert arrays[f"replay_{name}"].shape[0] == 1024
+        train(cfg, 0, tmp_path / "resumed")
+        for name in ("run.csv", "growth_events.csv", "checkpoint.bin"):
+            assert (tmp_path / "full" / name).read_bytes() == \
+                (tmp_path / "resumed" / name).read_bytes()
+
+    def test_snapshot_holds_only_live_replay_rows(self, tmp_path):
+        cfg = tiny_config(total_episodes=2, eval_every=1)
+        train(cfg, 0, tmp_path / "run", resume=False, stop_after_episode=0)
+        meta, arrays = load_blob(tmp_path / "run" / "state.bin")
+        live = min(meta["replay"]["insert_count"], meta["replay"]["capacity"])
+        assert live < meta["replay"]["capacity"]
+        for name in ("states", "actions", "rewards", "boot_states", "discounts", "tree_leaves"):
+            assert arrays[f"replay_{name}"].shape[0] == live
 
     def test_resume_rejects_other_config(self, tmp_path):
         cfg = tiny_config(total_episodes=6)
