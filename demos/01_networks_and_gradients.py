@@ -6,7 +6,7 @@ differences, and fits a toy regression target.
 
 import numpy as np
 
-from gqn import adam_step, backward, forward, huber_loss_and_grad, init_adam, init_net
+from gqn.nets import adam_step, backward, forward, huber_loss_and_grad, init_adam, init_net
 
 rng = np.random.default_rng(0)
 

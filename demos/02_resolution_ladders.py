@@ -5,7 +5,8 @@ coarse grid is an exact value subset of every finer one. The mask decides
 which full-grid bins are currently selectable; decode() enforces it.
 """
 
-from gqn import MaskViolationError, active_mask, bin_values, build_ladder, decode, grow
+from gqn.actions import (MaskViolationError, active_indices, bin_values, build_ladder, decode,
+                         grow)
 
 ladder = build_ladder(min_bins=2, max_bins=9, action_dim=1)
 print(f"ladder levels: {ladder.level_bins}")
@@ -13,8 +14,8 @@ grid = bin_values(ladder)[0]
 print(f"full 9-bin grid: {grid.tolist()}\n")
 
 while True:
-    mask = active_mask(ladder)[0]
-    cells = ["  x  " if not m else f"{v:+.2f}" for v, m in zip(grid, mask)]
+    active = set(active_indices(ladder).tolist())
+    cells = [f"{v:+.2f}" if i in active else "  x  " for i, v in enumerate(grid)]
     print(f"level {ladder.active_level} ({ladder.active_bins} bins): {' '.join(cells)}")
     ladder, grew = grow(ladder)
     if not grew:

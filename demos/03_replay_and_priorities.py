@@ -6,7 +6,7 @@ shift sampling toward high-TD-error transitions.
 
 import numpy as np
 
-from gqn import NStepAccumulator, PrioritizedReplay, Transition
+from gqn.replay import NStepAccumulator, PrioritizedReplay, Transition
 
 # --- n-step rewards -------------------------------------------------------
 acc = NStepAccumulator(n=3, gamma=0.9)

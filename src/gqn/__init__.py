@@ -1,33 +1,22 @@
 """Critic-only continuous control with decoupled Q-heads whose action
-resolution grows from coarse to fine during training."""
+resolution grows from coarse to fine during training.
 
-from .actions import (MaskViolationError, ResolutionLadder, active_indices, active_mask,
-                      bin_value, bin_values, build_ladder, decode, grow)
-from .agent import GqnAgent, Hyperparams, beta_schedule, epsilon_schedule, q_value
-from .envs import (CartpoleSwingup, Environment, EnvSpec, PendulumSwingup, PenaltyWrapper,
-                   PointMassND, make_env)
+The package namespace holds the run-level API. Layer internals are imported
+from their own modules: gqn.actions, gqn.agent, gqn.envs, gqn.metrics,
+gqn.nets, gqn.replay and gqn.scheduler.
+"""
+
+from .agent import GqnAgent, Hyperparams
+from .envs import make_env
 from .harness import (RunConfig, RunRecord, derive_seed, evaluate, radar_report, sweep,
                       train)
 from .metrics import EpisodeTrace, episode_metrics, fft_smoothness, normalize_radar
-from .nets import (AdamState, DenseNet, DivergenceError, ForwardCache, NetGrads, adam_step,
-                   backward, copy_params, forward, huber_loss_and_grad, init_adam, init_net,
-                   load_net_checkpoint, save_net_checkpoint)
-from .replay import Batch, NStepAccumulator, PrioritizedReplay, SumTree, Transition
-from .scheduler import (EvalWindow, GrowthPolicy, GrowthScheduler, adaptive_decide,
-                        growth_threshold, linear_level)
+from .nets import DivergenceError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamState", "Batch", "CartpoleSwingup", "DenseNet", "DivergenceError", "Environment",
-    "EnvSpec", "EpisodeTrace", "EvalWindow", "ForwardCache", "GqnAgent", "GrowthPolicy",
-    "GrowthScheduler", "Hyperparams", "MaskViolationError", "NStepAccumulator", "NetGrads",
-    "PendulumSwingup", "PenaltyWrapper", "PointMassND", "PrioritizedReplay",
-    "ResolutionLadder", "RunConfig", "RunRecord", "SumTree", "Transition",
-    "active_indices", "active_mask", "adam_step", "adaptive_decide", "backward",
-    "beta_schedule", "bin_value", "bin_values", "build_ladder", "copy_params", "decode",
-    "derive_seed", "episode_metrics", "epsilon_schedule", "evaluate", "fft_smoothness",
-    "forward", "grow", "growth_threshold", "huber_loss_and_grad", "init_adam", "init_net",
-    "linear_level", "load_net_checkpoint", "make_env", "normalize_radar", "q_value",
-    "radar_report", "save_net_checkpoint", "sweep", "train",
+    "DivergenceError", "EpisodeTrace", "GqnAgent", "Hyperparams", "RunConfig", "RunRecord",
+    "derive_seed", "episode_metrics", "evaluate", "fft_smoothness", "make_env",
+    "normalize_radar", "radar_report", "sweep", "train",
 ]

@@ -86,8 +86,9 @@ def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.
 
 
 @lru_cache(maxsize=None)
-def _grid(ladder: ResolutionLadder) -> np.ndarray:
-    """(action_dim, full_bins) grid of bin values; endpoints hit bounds exactly."""
+def bin_values(ladder: ResolutionLadder) -> np.ndarray:
+    """Full-resolution grid values, shape (action_dim, full_bins), read-only;
+    endpoints hit the bounds exactly."""
     lo = np.asarray(ladder.bounds_lo)[:, None]
     hi = np.asarray(ladder.bounds_hi)[:, None]
     n = ladder.full_bins
@@ -105,31 +106,10 @@ def _stride(ladder: ResolutionLadder) -> int:
     return (ladder.full_bins - 1) // (ladder.active_bins - 1)
 
 
-def bin_values(ladder: ResolutionLadder) -> np.ndarray:
-    """Full-resolution grid values, shape (action_dim, full_bins)."""
-    return _grid(ladder)
-
-
-def bin_value(ladder: ResolutionLadder, dim: int, full_bin_index: int) -> float:
-    """Continuous value of one full-grid bin."""
-    if not 0 <= dim < ladder.action_dim:
-        raise IndexError(f"dim {dim} out of range for action_dim {ladder.action_dim}")
-    if not 0 <= full_bin_index < ladder.full_bins:
-        raise IndexError(f"bin index {full_bin_index} out of range for {ladder.full_bins} bins")
-    return float(_grid(ladder)[dim, full_bin_index])
-
-
 def active_indices(ladder: ResolutionLadder) -> np.ndarray:
     """Full-grid indices selectable at the current level (same for every dim)."""
     stride = _stride(ladder)
     return np.arange(ladder.active_bins, dtype=np.int64) * stride
-
-
-def active_mask(ladder: ResolutionLadder) -> np.ndarray:
-    """Boolean (action_dim, full_bins) mask; True = bin selectable."""
-    row = np.zeros(ladder.full_bins, dtype=bool)
-    row[active_indices(ladder)] = True
-    return np.tile(row, (ladder.action_dim, 1))
 
 
 def grow(ladder: ResolutionLadder) -> tuple[ResolutionLadder, bool]:
@@ -158,4 +138,4 @@ def decode(ladder: ResolutionLadder, bin_indices) -> np.ndarray:
             f"bin indices {idx.tolist()} include masked bins at level "
             f"{ladder.active_level} ({ladder.active_bins} active of {ladder.full_bins})"
         )
-    return _grid(ladder)[np.arange(ladder.action_dim), idx].copy()
+    return bin_values(ladder)[np.arange(ladder.action_dim), idx].copy()

@@ -66,6 +66,12 @@ class Hyperparams:
         for name in ("epsilon_start", "epsilon_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        for name in ("per_alpha", "per_eps"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.replay_capacity < max(self.batch_size, self.min_fill):
             raise ValueError(
                 f"replay_capacity {self.replay_capacity} is below max(batch_size, min_fill) = "
@@ -84,19 +90,6 @@ def beta_schedule(env_steps: int, total_env_steps: int, hyper: Hyperparams) -> f
     """Linear anneal of the importance-sampling exponent over the whole run."""
     frac = min(1.0, env_steps / max(1, total_env_steps))
     return hyper.per_beta_start + (hyper.per_beta_end - hyper.per_beta_start) * frac
-
-
-def q_value(utilities: np.ndarray, bin_indices) -> float:
-    """Joint Q from one (M, full_bins) utility table: mean of the selected
-    per-dimension entries."""
-    utilities = np.asarray(utilities)
-    idx = np.asarray(bin_indices, dtype=np.int64)
-    m, n_full = utilities.shape
-    if idx.shape != (m,):
-        raise IndexError(f"need {m} bin indices, got shape {idx.shape}")
-    if np.any(idx < 0) or np.any(idx >= n_full):
-        raise IndexError(f"bin indices {idx.tolist()} out of range [0, {n_full})")
-    return float(np.sum(utilities[np.arange(m), idx]) / m)
 
 
 class GqnAgent:

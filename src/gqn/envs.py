@@ -26,7 +26,7 @@ class EnvSpec:
 
 
 class Environment:
-    """Base contract: reset(seed) -> obs, step(action) -> (obs, r, r_original, terminal)."""
+    """Base contract: reset(seed) -> obs, step(action) -> (obs, r_task, terminal)."""
 
     spec: EnvSpec
 
@@ -38,7 +38,7 @@ class Environment:
         self._reset_state(np.random.default_rng(seed))
         return self._observe()
 
-    def step(self, action) -> tuple[np.ndarray, float, float, bool]:
+    def step(self, action) -> tuple[np.ndarray, float, bool]:
         if self._t < 0:
             raise RuntimeError("step() before reset(), or after the episode ended")
         action = np.asarray(action, dtype=np.float64)
@@ -46,13 +46,12 @@ class Environment:
             raise ValueError(f"action must have shape ({self.spec.action_dim},), got {action.shape}")
         if np.any(np.abs(action) > 1.0 + 1e-12):
             raise ValueError(f"action {action.tolist()} outside [-1, 1] bounds")
-        r_original = self._advance(action)
+        r_task = self._advance(action)
         self._t += 1
         terminal = self._t >= self.spec.horizon
         if terminal:
             self._t = -1
-        obs = self._observe()
-        return obs, r_original, r_original, terminal
+        return self._observe(), r_task, terminal
 
     # subclasses implement:
     def _reset_state(self, rng: np.random.Generator) -> None:
@@ -210,7 +209,10 @@ class PointMassND(Environment):
 
 
 class PenaltyWrapper:
-    """Subtracts c_a * sum_j a_j^2 from the task reward; keeps both rewards."""
+    """Subtracts c_a * sum_j a_j^2 from the task reward; keeps both rewards.
+
+    The only step that returns (obs, reward, r_task, terminal).
+    """
 
     def __init__(self, env: Environment, c_a: float):
         if c_a < 0:
@@ -225,11 +227,11 @@ class PenaltyWrapper:
     def reset(self, seed: int) -> np.ndarray:
         return self.env.reset(seed)
 
-    def step(self, action):
+    def step(self, action) -> tuple[np.ndarray, float, float, bool]:
         action = np.asarray(action, dtype=np.float64)
-        obs, _, r_original, terminal = self.env.step(action)
-        reward = r_original - self.c_a * float(action @ action)
-        return obs, reward, r_original, terminal
+        obs, r_task, terminal = self.env.step(action)
+        reward = r_task - self.c_a * float(action @ action)
+        return obs, reward, r_task, terminal
 
 
 _POINTMASS_RE = re.compile(r"^pointmass_nd(\d+)_(torque|velocity)$")

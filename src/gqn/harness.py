@@ -8,13 +8,13 @@ exactly from the latest snapshot.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,14 +25,13 @@ from .envs import make_env
 from .metrics import EpisodeTrace, episode_metrics, normalize_radar
 from .nets import DivergenceError
 from .replay import NStepAccumulator, PrioritizedReplay
-from .scheduler import GrowthEvent, GrowthPolicy, GrowthScheduler
+from .scheduler import GrowthEvent, GrowthScheduler
 
 log = logging.getLogger("gqn.harness")
 
 RUN_CSV_SCHEMA = "run_csv_v1"
 EVENTS_CSV_SCHEMA = "growth_events_v1"
-RUN_COLUMNS = ("env_steps", "episode", "eval_mean_return", "eval_std", "active_bins",
-               "epsilon", "loss", "R", "P", "abs_a", "abs_da", "SM")
+_LADDER_KEYS = ("min_bins", "max_bins", "bounds")  # grouped under "ladder" in config dicts
 
 _TRAIN_TAG = 1
 _EVAL_TAG = 2
@@ -63,6 +62,7 @@ class RunConfig:
     def __post_init__(self):
         self.seeds = tuple(int(s) for s in self.seeds)
         self.bounds = (float(self.bounds[0]), float(self.bounds[1]))
+        self.min_bins, self.max_bins = int(self.min_bins), int(self.max_bins)
         if self.growth not in ("linear", "adaptive", "none"):
             raise ValueError(f"growth must be linear/adaptive/none, got {self.growth!r}")
         if self.c_a < 0:
@@ -84,7 +84,7 @@ class RunConfig:
                          f"_{self.growth}")
 
     def make_hyper(self, seed: int) -> Hyperparams:
-        valid = {f.name for f in dataclasses.fields(Hyperparams)}
+        valid = {f.name for f in fields(Hyperparams)}
         unknown = set(self.hyper_overrides) - valid
         if unknown:
             raise ValueError(f"unknown hyper keys: {sorted(unknown)}")
@@ -94,49 +94,37 @@ class RunConfig:
         return Hyperparams(seed=seed, **kwargs)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "env": self.env,
-            "c_a": self.c_a,
-            "ladder": {"min_bins": self.min_bins, "max_bins": self.max_bins,
-                       "bounds": list(self.bounds)},
-            "growth": self.growth,
-            "total_episodes": self.total_episodes,
-            "eval_every": self.eval_every,
-            "eval_episodes": self.eval_episodes,
-            "window": self.window,
-            "cooldown": self.cooldown,
-            "seeds": list(self.seeds),
-            "hyper": dict(self.hyper_overrides),
-        }
+        """JSON-ready form: ladder fields nest under "ladder", the hyper
+        overrides become "hyper". "name" leads because the key order is part
+        of the resume snapshot's bytes."""
+        d: dict = {"name": self.name}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = list(value)
+            if f.name in _LADDER_KEYS:
+                d.setdefault("ladder", {})[f.name] = value
+            elif f.name == "hyper_overrides":
+                d["hyper"] = dict(value)
+            else:
+                d[f.name] = value
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {"name", "env", "c_a", "ladder", "growth", "total_episodes", "eval_every",
-                 "eval_episodes", "window", "cooldown", "seeds", "hyper"}
+        names = [f.name for f in fields(cls)]
+        known = {"ladder", "hyper"} | set(names) - set(_LADDER_KEYS) - {"hyper_overrides"}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         if "env" not in d:
             raise ValueError("config requires an 'env' id")
-        kwargs: dict = {"env": d["env"]}
         ladder = d.get("ladder", {})
-        unknown_ladder = set(ladder) - {"min_bins", "max_bins", "bounds"}
+        unknown_ladder = set(ladder) - set(_LADDER_KEYS)
         if unknown_ladder:
             raise ValueError(f"unknown ladder keys: {sorted(unknown_ladder)}")
-        if "min_bins" in ladder:
-            kwargs["min_bins"] = int(ladder["min_bins"])
-        if "max_bins" in ladder:
-            kwargs["max_bins"] = int(ladder["max_bins"])
-        if "bounds" in ladder:
-            kwargs["bounds"] = tuple(ladder["bounds"])
-        for key in ("name", "c_a", "growth", "total_episodes", "eval_every",
-                    "eval_episodes", "window", "cooldown"):
-            if key in d:
-                kwargs[key] = d[key]
-        if "seeds" in d:
-            kwargs["seeds"] = tuple(d["seeds"])
-        kwargs["hyper_overrides"] = dict(d.get("hyper", {}))
+        kwargs = {k: v for k, v in d.items() if k in names}
+        kwargs.update(ladder, hyper_overrides=dict(d.get("hyper", {})))
         return cls(**kwargs)
 
 
@@ -166,68 +154,55 @@ class RunRecord:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return repr(float(value))
 
 
-def write_run_csv(path: Path, rows: list[EvalRow]) -> None:
-    lines = [f"# schema={RUN_CSV_SCHEMA}", ",".join(RUN_COLUMNS)]
-    for row in rows:
-        d = asdict(row)
-        lines.append(",".join(_fmt(d[c]) for c in RUN_COLUMNS))
+def _write_csv(path: Path, schema: str, row_type, rows) -> None:
+    names = [f.name for f in fields(row_type)]
+    lines = [f"# schema={schema}", ",".join(names)]
+    lines += [",".join(_fmt(getattr(row, n)) for n in names) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_run_csv(path: Path) -> list[EvalRow]:
-    rows = []
-    lines = Path(path).read_text().splitlines()
-    body = [ln for ln in lines if ln and not ln.startswith("#")]
-    header = body[0].split(",")
-    if tuple(header) != RUN_COLUMNS:
-        raise ValueError(f"{path}: unexpected run.csv columns {header}")
-    for ln in body[1:]:
-        vals = ln.split(",")
-        d = dict(zip(RUN_COLUMNS, vals))
-        rows.append(EvalRow(
-            env_steps=int(d["env_steps"]), episode=int(d["episode"]),
-            eval_mean_return=float(d["eval_mean_return"]), eval_std=float(d["eval_std"]),
-            active_bins=int(d["active_bins"]), epsilon=float(d["epsilon"]),
-            loss=float(d["loss"]), R=float(d["R"]), P=float(d["P"]),
-            abs_a=float(d["abs_a"]), abs_da=float(d["abs_da"]), SM=float(d["SM"]),
-        ))
-    return rows
+def write_run_csv(path: Path, rows: list[EvalRow]) -> None:
+    _write_csv(path, RUN_CSV_SCHEMA, EvalRow, rows)
 
 
 def write_events_csv(path: Path, events: list[GrowthEvent]) -> None:
-    lines = [f"# schema={EVENTS_CSV_SCHEMA}", "env_steps,episode,old_bins,new_bins,trigger"]
-    for ev in events:
-        lines.append(f"{ev.env_steps},{ev.episode},{ev.old_bins},{ev.new_bins},{ev.trigger}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, EVENTS_CSV_SCHEMA, GrowthEvent, events)
 
 
-def _greedy_rollout(agent: GqnAgent, env, env_seed: int):
-    obs = env.reset(env_seed)
-    actions, r_orig, r_pen = [], [], []
-    terminal = False
-    while not terminal:
-        bins = agent.select_action(obs, 0.0)
-        action = decode(agent.ladder, bins)
-        obs, r, r_o, terminal = env.step(action)
-        actions.append(action)
-        r_orig.append(r_o)
-        r_pen.append(r)
-    trace = EpisodeTrace(actions=np.asarray(actions), rewards_original=np.asarray(r_orig),
-                         rewards=np.asarray(r_pen), dt=env.spec.dt)
-    return float(np.sum(r_pen)), trace
+def read_run_csv(path: Path) -> list[EvalRow]:
+    lines = Path(path).read_text().splitlines()
+    body = [ln for ln in lines if ln and not ln.startswith("#")]
+    types = get_type_hints(EvalRow)  # column name -> int or float, in field order
+    if body[0].split(",") != list(types):
+        raise ValueError(f"{path}: unexpected run.csv columns {body[0].split(',')}")
+    return [EvalRow(*(types[n](v) for n, v in zip(types, ln.split(",")))) for ln in body[1:]]
 
 
-def _eval_agent(agent: GqnAgent, env, seed: int, episode: int, episodes: int):
+def _eval_episodes(agent: GqnAgent, env, seed: int, episode: int, count: int):
+    """`count` greedy episodes, the i-th reset from derive_seed(seed, _EVAL_TAG,
+    episode, i); returns (penalized returns, traces)."""
     returns, traces = [], []
-    for i in range(episodes):
-        ret, trace = _greedy_rollout(agent, env, derive_seed(seed, _EVAL_TAG, episode, i))
-        returns.append(ret)
-        traces.append(trace)
+    for i in range(count):
+        obs = env.reset(derive_seed(seed, _EVAL_TAG, episode, i))
+        actions, r_orig, r_pen = [], [], []
+        terminal = False
+        while not terminal:
+            action = decode(agent.ladder, agent.select_action(obs, 0.0))
+            obs, r, r_o, terminal = env.step(action)
+            actions.append(action)
+            r_orig.append(r_o)
+            r_pen.append(r)
+        returns.append(float(np.sum(r_pen)))
+        traces.append(EpisodeTrace(actions=np.asarray(actions),
+                                   rewards_original=np.asarray(r_orig),
+                                   rewards=np.asarray(r_pen), dt=env.spec.dt))
     return np.asarray(returns), traces
 
 
@@ -236,15 +211,15 @@ def _mean_metrics(traces) -> dict[str, float]:
     return {k: float(np.mean([p[k] for p in per])) for k in per[0]}
 
 
-def _apply_growth(agent: GqnAgent, scheduler: GrowthScheduler, episode: int, trigger: str) -> None:
+def _apply_growth(agent: GqnAgent, scheduler: GrowthScheduler, episode: int) -> None:
     old_bins = agent.ladder.active_bins
     new_ladder, grew = grow(agent.ladder)
     if not grew:
         return
     agent.on_growth(new_ladder)
-    scheduler.record(agent.env_steps, episode, old_bins, new_ladder.active_bins, trigger)
+    scheduler.record(agent.env_steps, episode, old_bins, new_ladder.active_bins, scheduler.mode)
     log.info("growth (%s): %d -> %d bins at episode %d, env step %d",
-             trigger, old_bins, new_ladder.active_bins, episode, agent.env_steps)
+             scheduler.mode, old_bins, new_ladder.active_bins, episode, agent.env_steps)
 
 
 def _save_training_state(path: Path, agent: GqnAgent, scheduler: GrowthScheduler,
@@ -256,11 +231,7 @@ def _save_training_state(path: Path, agent: GqnAgent, scheduler: GrowthScheduler
     meta = {
         "agent": agent_meta,
         "replay": replay_meta,
-        "scheduler": {
-            "window_values": scheduler.window.values(),
-            "evals_since_growth": scheduler.evals_since_growth,
-            "events": [asdict(e) for e in scheduler.events],
-        },
+        "scheduler": scheduler.state(),
         "rows": [asdict(r) for r in record.rows],
         "next_episode": next_episode,
         "last_loss": last_loss,
@@ -270,22 +241,17 @@ def _save_training_state(path: Path, agent: GqnAgent, scheduler: GrowthScheduler
     save_blob(path, meta, arrays)
 
 
-def _load_training_state(path: Path, config: RunConfig, seed: int):
+def _load_training_state(path: Path, config: RunConfig, seed: int,
+                         scheduler: GrowthScheduler):
     meta, arrays = load_blob(path)
     if meta["config"] != config.to_dict() or meta["seed"] != seed:
         raise ValueError(f"{path}: snapshot was produced by a different (config, seed)")
     agent = GqnAgent._from_state(meta["agent"], arrays)
     replay_arrays = {k[len("replay_"):]: v for k, v in arrays.items() if k.startswith("replay_")}
     agent.replay = PrioritizedReplay.from_state(meta["replay"], replay_arrays)
-    policy = GrowthPolicy(config.growth, config.total_episodes, config.window, config.cooldown)
-    sched_meta = meta["scheduler"]
-    scheduler = GrowthScheduler(policy, agent.ladder.num_levels)
-    for v in sched_meta["window_values"]:
-        scheduler.window.push(v)
-    scheduler.evals_since_growth = int(sched_meta["evals_since_growth"])
-    scheduler.events = [GrowthEvent(**e) for e in sched_meta["events"]]
+    scheduler.load_state(meta["scheduler"])
     record = RunRecord(rows=[EvalRow(**r) for r in meta["rows"]], events=scheduler.events)
-    return agent, scheduler, record, int(meta["next_episode"]), float(meta["last_loss"])
+    return agent, record, int(meta["next_episode"]), float(meta["last_loss"])
 
 
 def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
@@ -303,17 +269,17 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
     eval_env = make_env(config.env, config.c_a)
     hyper = config.make_hyper(seed)
     total_env_steps = config.total_episodes * env.spec.horizon
+    ladder = build_ladder(config.min_bins, config.max_bins, env.spec.action_dim, config.bounds)
+    scheduler = GrowthScheduler(config.growth, config.total_episodes, ladder.num_levels,
+                                config.window, config.cooldown)
 
     if resume and state_path.exists():
-        agent, scheduler, record, start_episode, last_loss = _load_training_state(
-            state_path, config, seed)
+        agent, record, start_episode, last_loss = _load_training_state(
+            state_path, config, seed, scheduler)
         hyper = agent.hyper
         log.info("resuming %s seed %d from episode %d", config.name, seed, start_episode)
     else:
-        ladder = build_ladder(config.min_bins, config.max_bins, env.spec.action_dim, config.bounds)
         agent = GqnAgent(env.spec.obs_dim, ladder, hyper)
-        policy = GrowthPolicy(config.growth, config.total_episodes, config.window, config.cooldown)
-        scheduler = GrowthScheduler(policy, ladder.num_levels)
         record = RunRecord(events=scheduler.events)
         start_episode = 0
         last_loss = float("nan")
@@ -323,9 +289,8 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
 
     try:
         for episode in range(start_episode, config.total_episodes):
-            if config.growth == "linear":
-                while agent.ladder.active_level < scheduler.linear_target(episode):
-                    _apply_growth(agent, scheduler, episode, "linear")
+            for _ in range(scheduler.before_episode(episode, agent.ladder.active_level)):
+                _apply_growth(agent, scheduler, episode)
 
             acc = NStepAccumulator(hyper.n_step, hyper.discount)
             obs = env.reset(derive_seed(seed, _TRAIN_TAG, episode))
@@ -345,7 +310,8 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
 
             is_last = episode == config.total_episodes - 1
             if (episode + 1) % config.eval_every == 0 or is_last:
-                returns, traces = _eval_agent(agent, eval_env, seed, episode, config.eval_episodes)
+                returns, traces = _eval_episodes(agent, eval_env, seed, episode,
+                                                 config.eval_episodes)
                 mean_metrics = _mean_metrics(traces)
                 eval_mean = float(np.mean(returns))
                 row = EvalRow(
@@ -358,9 +324,8 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
                 record.rows.append(row)
                 log.info("%s seed %d ep %d: return %.2f (bins %d)",
                          config.name, seed, episode, eval_mean, row.active_bins)
-                if config.growth == "adaptive":
-                    if scheduler.observe_eval(eval_mean, agent.ladder.at_max):
-                        _apply_growth(agent, scheduler, episode, "adaptive")
+                if scheduler.after_eval(eval_mean, agent.ladder.at_max):
+                    _apply_growth(agent, scheduler, episode)
                 agent.save(checkpoint_path, extra_meta={
                     "env": config.env, "c_a": config.c_a, "seed": seed, "episode": episode})
                 _save_training_state(state_path, agent, scheduler, record,
@@ -405,12 +370,7 @@ def evaluate(checkpoint, episodes: int, env=None, c_a: float | None = None,
             f"env obs dim {env.spec.obs_dim} does not match agent input {agent.obs_dim}")
     if env.spec.action_dim != agent.ladder.action_dim:
         raise ValueError("env action dim does not match agent ladder")
-    returns, traces = [], []
-    for i in range(episodes):
-        ret, trace = _greedy_rollout(agent, env, derive_seed(base_seed, _EVAL_TAG, 0, i))
-        returns.append(ret)
-        traces.append(trace)
-    returns = np.asarray(returns)
+    returns, traces = _eval_episodes(agent, env, base_seed, 0, episodes)
     return {"mean": float(np.mean(returns)), "std": float(np.std(returns)),
             "returns": returns.tolist(), "traces": traces}
 
@@ -434,20 +394,14 @@ def sweep(configs: list[RunConfig], parallel_workers: int, out_dir) -> dict:
         raise ValueError("sweep needs at least one config")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    cells = [(cfg, s) for cfg in configs for s in cfg.seeds]
-    results: dict[tuple[str, int], dict] = {}
+    cells = {(cfg.name, s): (cfg.to_dict(), s, str(out / cfg.name / f"seed_{s}"))
+             for cfg in configs for s in cfg.seeds}
     if parallel_workers > 1:
         with ProcessPoolExecutor(max_workers=parallel_workers) as pool:
-            futures = {
-                (cfg.name, s): pool.submit(_sweep_cell, cfg.to_dict(), s,
-                                           str(out / cfg.name / f"seed_{s}"))
-                for cfg, s in cells
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
+            futures = {key: pool.submit(_sweep_cell, *args) for key, args in cells.items()}
+            results = {key: fut.result() for key, fut in futures.items()}
     else:
-        for cfg, s in cells:
-            results[(cfg.name, s)] = _sweep_cell(cfg.to_dict(), s, str(out / cfg.name / f"seed_{s}"))
+        results = {key: _sweep_cell(*args) for key, args in cells.items()}
 
     aggregate: dict[str, dict] = {}
     for cfg in configs:

@@ -9,11 +9,8 @@ views into it, so a whole-model update is a handful of numpy calls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
-
-from .blob import load_blob, save_blob
 
 
 class DivergenceError(RuntimeError):
@@ -307,13 +304,3 @@ def net_from_state(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""):
             epsilon=float(a["epsilon"]),
         )
     return net, adam
-
-
-def save_net_checkpoint(path: str | Path, net: DenseNet, adam: AdamState | None = None) -> None:
-    meta, arrays = net_state(net, adam)
-    save_blob(path, meta, arrays)
-
-
-def load_net_checkpoint(path: str | Path):
-    meta, arrays = load_blob(path)
-    return net_from_state(meta, arrays)

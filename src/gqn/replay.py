@@ -52,9 +52,6 @@ class SumTree:
     def leaf_priorities(self) -> np.ndarray:
         return self.nodes[self.capacity :].copy()
 
-    def get(self, slot: int) -> float:
-        return float(self.nodes[self.capacity + slot])
-
     def set(self, slot: int, priority: float) -> None:
         idx = self.capacity + slot
         self.nodes[idx] = priority

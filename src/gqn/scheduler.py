@@ -8,7 +8,7 @@ threshold built from the moving window of past evaluation returns.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,27 +64,13 @@ def growth_threshold(window: EvalWindow) -> float:
     return (1.00 - 0.05 * np.sign(mu)) * mu + 0.90 * sigma
 
 
-@dataclass
-class GrowthPolicy:
-    mode: str  # "linear" | "adaptive" | "none"
-    total_episodes: int = 0
-    window_size: int = 10
-    cooldown: int = 5
-
-    def __post_init__(self):
-        if self.mode not in ("linear", "adaptive", "none"):
-            raise ValueError(f"unknown growth mode {self.mode!r}")
-
-
-def adaptive_decide(policy: GrowthPolicy, window: EvalWindow, current_eval_mean: float,
-                    evals_since_growth: int) -> bool:
+def adaptive_decide(window: EvalWindow, current_eval_mean: float, evals_since_growth: int,
+                    cooldown: int) -> bool:
     """True when the window is full, the cooldown has elapsed, and the
     current evaluation mean sits below the stagnation threshold."""
-    if policy.mode != "adaptive":
-        raise ValueError(f"adaptive_decide requires adaptive mode, got {policy.mode!r}")
     if not window.full:
         return False
-    if evals_since_growth < policy.cooldown:
+    if evals_since_growth < cooldown:
         return False
     return current_eval_mean < growth_threshold(window)
 
@@ -98,39 +84,42 @@ class GrowthEvent:
     trigger: str
 
 
-@dataclass
 class GrowthScheduler:
-    """Stateful wrapper the training loop drives; owns window bookkeeping."""
+    """The one place that decides growth; the training loop asks it before
+    every episode (linear mode) and after every evaluation (adaptive mode),
+    and it logs each growth applied."""
 
-    policy: GrowthPolicy
-    num_levels: int
-    window: EvalWindow = field(default=None)  # type: ignore[assignment]
-    evals_since_growth: int = 0
-    events: list[GrowthEvent] = field(default_factory=list)
+    def __init__(self, mode: str, total_episodes: int, num_levels: int, window: int,
+                 cooldown: int):
+        if mode not in ("linear", "adaptive", "none"):
+            raise ValueError(f"unknown growth mode {mode!r}")
+        self.mode = mode
+        self.total_episodes = total_episodes
+        self.num_levels = num_levels
+        self.cooldown = cooldown
+        self.window = EvalWindow(window)
+        self.evals_since_growth = 0
+        self.events: list[GrowthEvent] = []
 
-    def __post_init__(self):
-        if self.window is None:
-            self.window = EvalWindow(self.policy.window_size)
-
-    def linear_target(self, episode: int) -> int:
-        """Desired level at this episode (linear mode), else current behavior
-        is unchanged (returns 0 so callers never grow)."""
-        if self.policy.mode != "linear":
+    def before_episode(self, episode: int, level: int) -> int:
+        """Levels to grow before this episode: in linear mode, the gap from
+        `level` up to the linear schedule's level; otherwise 0."""
+        if self.mode != "linear":
             return 0
-        return linear_level(episode, self.policy.total_episodes, self.num_levels)
+        return max(0, linear_level(episode, self.total_episodes, self.num_levels) - level)
 
-    def observe_eval(self, current_eval_mean: float, at_max: bool) -> bool:
-        """Feed one evaluation mean; returns True when the ladder should grow.
+    def after_eval(self, current_eval_mean: float, at_max: bool) -> bool:
+        """Feed one evaluation mean; True when the ladder should grow
+        (adaptive mode only).
 
         The decision uses the window as it stood before this evaluation; on
         growth the window is cleared, otherwise the new mean joins it.
         """
-        self.evals_since_growth += 1
-        if self.policy.mode != "adaptive" or at_max:
-            if self.policy.mode == "adaptive":
-                self.window.push(current_eval_mean)
+        if self.mode != "adaptive":
             return False
-        if adaptive_decide(self.policy, self.window, current_eval_mean, self.evals_since_growth):
+        self.evals_since_growth += 1
+        if not at_max and adaptive_decide(self.window, current_eval_mean,
+                                          self.evals_since_growth, self.cooldown):
             self.window.clear()
             self.evals_since_growth = 0
             return True
@@ -139,3 +128,17 @@ class GrowthScheduler:
 
     def record(self, env_steps: int, episode: int, old_bins: int, new_bins: int, trigger: str) -> None:
         self.events.append(GrowthEvent(env_steps, episode, old_bins, new_bins, trigger))
+
+    def state(self) -> dict:
+        """JSON-ready window, cooldown count and event log, for exact resume."""
+        return {"window_values": self.window.values(),
+                "evals_since_growth": self.evals_since_growth,
+                "events": [asdict(e) for e in self.events]}
+
+    def load_state(self, state: dict) -> None:
+        """Inverse of state(); keeps the identity of the events list."""
+        self.window.clear()
+        for v in state["window_values"]:
+            self.window.push(v)
+        self.evals_since_growth = int(state["evals_since_growth"])
+        self.events[:] = [GrowthEvent(**e) for e in state["events"]]

@@ -19,7 +19,7 @@ from gqn.harness import RunConfig, evaluate, train
 from gqn.metrics import EpisodeTrace, episode_metrics, fft_smoothness, normalize_radar
 from gqn.nets import backward, forward, huber_loss_and_grad, init_net
 from gqn.replay import NStepAccumulator, PrioritizedReplay, SumTree, Transition
-from gqn.scheduler import EvalWindow, adaptive_decide, GrowthPolicy, growth_threshold, linear_level
+from gqn.scheduler import EvalWindow, adaptive_decide, growth_threshold, linear_level
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -275,10 +275,9 @@ def test_schedule_unit_suite():
                   and linear_level(200, 1000, 4) == 1 and linear_level(250, 1000, 4) == 1
                   and linear_level(999, 1000, 4) == 3)
 
-    policy = GrowthPolicy("adaptive", window_size=10, cooldown=5)
-    cooldown_gate = (not adaptive_decide(policy, win, 0.0, evals_since_growth=4)
-                     and adaptive_decide(policy, win, 100.0, evals_since_growth=5)
-                     and not adaptive_decide(policy, win, 105.0, evals_since_growth=5))
+    cooldown_gate = (not adaptive_decide(win, 0.0, evals_since_growth=4, cooldown=5)
+                     and adaptive_decide(win, 100.0, evals_since_growth=5, cooldown=5)
+                     and not adaptive_decide(win, 105.0, evals_since_growth=5, cooldown=5))
 
     ok = ok_thresholds and ladders and boundaries and cooldown_gate
     report("schedule unit suite (thresholds 104.0/-48.0, ladders, linear boundaries, cooldown)",

@@ -4,8 +4,6 @@ import pytest
 from gqn.actions import (
     MaskViolationError,
     active_indices,
-    active_mask,
-    bin_value,
     bin_values,
     build_ladder,
     decode,
@@ -50,43 +48,42 @@ class TestBuildLadder:
 class TestBinValue:
     def test_three_bins(self):
         ladder = build_ladder(3, 3, action_dim=1)
-        assert [bin_value(ladder, 0, i) for i in range(3)] == [-1.0, 0.0, 1.0]
+        assert bin_values(ladder)[0].tolist() == [-1.0, 0.0, 1.0]
 
     def test_five_bins(self):
         ladder = build_ladder(5, 5, action_dim=1)
-        assert [bin_value(ladder, 0, i) for i in range(5)] == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert bin_values(ladder)[0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     def test_bang_bang(self):
         ladder = build_ladder(2, 2, action_dim=1)
-        assert [bin_value(ladder, 0, i) for i in range(2)] == [-1.0, 1.0]
+        assert bin_values(ladder)[0].tolist() == [-1.0, 1.0]
 
     def test_endpoints_exact(self):
         ladder = build_ladder(2, 65, action_dim=1, bounds=(-0.3, 0.7))
-        assert bin_value(ladder, 0, 0) == -0.3
-        assert bin_value(ladder, 0, 64) == 0.7
+        assert bin_values(ladder)[0, 0] == -0.3
+        assert bin_values(ladder)[0, 64] == 0.7
 
     def test_out_of_range(self):
         ladder = build_ladder(2, 9, action_dim=1)
         with pytest.raises(IndexError):
-            bin_value(ladder, 0, 9)
+            bin_values(ladder)[0, 9]
         with pytest.raises(IndexError):
-            bin_value(ladder, 1, 0)
+            bin_values(ladder)[1, 0]
+        with pytest.raises(ValueError):  # the cached grid is shared, so read-only
+            bin_values(ladder)[0, 0] = 0.0
 
 
 class TestActiveMask:
     def test_three_of_nine(self):
         ladder, _ = grow(build_ladder(2, 9, action_dim=2))  # level 1 -> 3 bins
         assert active_indices(ladder).tolist() == [0, 4, 8]
-        mask = active_mask(ladder)
-        assert mask.shape == (2, 9)
-        assert mask.sum() == 6
-        assert np.array_equal(mask[0], mask[1])
+        assert decode(ladder, [4, 8]).tolist() == [0.0, 1.0]  # same bins in every dim
 
     def test_full_resolution_all_active(self):
         ladder = build_ladder(2, 9, action_dim=1)
         while not ladder.at_max:
             ladder, _ = grow(ladder)
-        assert np.all(active_mask(ladder))
+        assert active_indices(ladder).tolist() == list(range(9))
 
     def test_two_of_five(self):
         ladder = build_ladder(2, 5, action_dim=1)
@@ -99,7 +96,7 @@ class TestActiveMask:
     def test_active_count_matches_level(self):
         ladder = build_ladder(2, 9, action_dim=3)
         while True:
-            assert active_mask(ladder).sum(axis=1).tolist() == [ladder.active_bins] * 3
+            assert len(active_indices(ladder)) == ladder.active_bins
             ladder, grew = grow(ladder)
             if not grew:
                 break

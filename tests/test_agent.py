@@ -3,7 +3,7 @@ import pytest
 from helpers import joint_argmax, make_table_agent, single_batch
 
 from gqn.actions import active_indices, build_ladder, decode, grow
-from gqn.agent import GqnAgent, Hyperparams, beta_schedule, epsilon_schedule, q_value
+from gqn.agent import GqnAgent, Hyperparams, beta_schedule, epsilon_schedule
 from gqn.nets import DivergenceError, forward
 from gqn.replay import Batch, Transition
 
@@ -27,25 +27,6 @@ class TestUtilities:
         x = np.random.default_rng(0).normal(size=(4, 3))
         assert np.array_equal(agent.utilities(agent.online_net, x),
                               agent.utilities(agent.online_net, x))
-
-
-class TestQValue:
-    def test_mean_of_selected(self):
-        util = np.array([[1.0, 5.0], [3.0, -2.0]])
-        assert q_value(util, [0, 0]) == 2.0
-
-    def test_single_dimension(self):
-        util = np.array([[1.0, 7.0, 3.0]])
-        assert q_value(util, [1]) == 7.0
-
-    def test_constant_table(self):
-        util = np.full((3, 5), 0.25)
-        for idx in ([0, 0, 0], [4, 2, 1]):
-            assert q_value(util, idx) == 0.25
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            q_value(np.zeros((2, 3)), [0, 3])
 
 
 class TestSelectAction:
@@ -227,7 +208,7 @@ class TestTrainStep:
         self.push_transition(agent, reward=3.0)  # |delta| = 3 with zero net
         agent.train_step()
         expected = (3.0 + agent.hyper.per_eps) ** agent.hyper.per_alpha
-        assert agent.replay.tree.get(0) == pytest.approx(expected, rel=1e-12)
+        assert agent.replay.tree.leaf_priorities()[0] == pytest.approx(expected, rel=1e-12)
 
 
 class TestOnGrowth:
@@ -353,6 +334,14 @@ class TestHyperparams:
         ({"epsilon_end": -0.01}, "epsilon_end"),
         ({"replay_capacity": 128, "batch_size": 256, "min_fill": 1}, "never start"),
         ({"replay_capacity": 500, "min_fill": 1000}, "never start"),
+        ({"per_eps": -0.5}, "per_eps"),
+        ({"per_eps": float("nan")}, "per_eps"),
+        ({"per_alpha": -1.0}, "per_alpha"),
+        ({"per_alpha": float("nan")}, "per_alpha"),
+        ({"adam_beta1": 1.0}, "adam_beta1"),
+        ({"adam_beta1": -0.1}, "adam_beta1"),
+        ({"adam_beta2": 1.0}, "adam_beta2"),
+        ({"adam_beta2": float("nan")}, "adam_beta2"),
     ])
     def test_invalid_values_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -360,4 +349,5 @@ class TestHyperparams:
 
     def test_boundary_values_accepted(self):
         Hyperparams(learning_rate=0.0, target_period=1, epsilon_start=0.0, epsilon_end=1.0)
+        Hyperparams(per_eps=0.0, per_alpha=0.0, adam_beta1=0.0, adam_beta2=0.0)
         Hyperparams(replay_capacity=1000, batch_size=1000, min_fill=1000)

@@ -43,16 +43,16 @@ class TestPendulum:
         env = PendulumSwingup()
         env.reset(0)
         env.theta, env.theta_dot = 0.0, 0.0
-        obs, r, r_o, _ = env.step(np.zeros(1))
+        obs, r_task, _ = env.step(np.zeros(1))
         assert env.theta == 0.0 and env.theta_dot == 0.0
-        assert r_o == 1.0 and r == 1.0
+        assert r_task == 1.0
         assert np.allclose(obs, [1.0, 0.0, 0.0])
 
     def test_hanging_reward_near_zero(self):
         env = PendulumSwingup()
         env.reset(3)
-        _, _, r_o, _ = env.step(np.zeros(1))
-        assert r_o < 0.01
+        _, r_task, _ = env.step(np.zeros(1))
+        assert r_task < 0.01
 
     def test_torque_deficit(self):
         # max torque 2 cannot counter gravity torque m*g*(l/2)*sin(pi/2) = 5,
@@ -109,7 +109,7 @@ class TestPendulum:
         env = PendulumSwingup()
         env.reset(0)
         for t in range(500):
-            _, _, _, terminal = env.step(np.zeros(1))
+            _, _, terminal = env.step(np.zeros(1))
         assert terminal
         with pytest.raises(RuntimeError):
             env.step(np.zeros(1))
@@ -120,8 +120,8 @@ class TestCartpole:
         env = CartpoleSwingup()
         env.reset(0)
         env.x = env.x_dot = env.theta = env.theta_dot = 0.0
-        _, r, r_o, _ = env.step(np.zeros(1))
-        assert r_o == pytest.approx(1.0, abs=1e-6)
+        _, r_task, _ = env.step(np.zeros(1))
+        assert r_task == pytest.approx(1.0, abs=1e-6)
 
     def test_mirror_symmetry(self):
         rng = np.random.default_rng(0)
@@ -143,7 +143,7 @@ class TestCartpole:
         env = CartpoleSwingup()
         env.reset(0)
         for _ in range(500):
-            _, _, r_o, terminal = env.step(np.array([1.0]))
+            _, _, terminal = env.step(np.array([1.0]))
             if terminal:
                 break
             assert abs(env.x) <= 2.4
@@ -151,9 +151,9 @@ class TestCartpole:
         # at the wall the in-bounds factor kills the reward
         env.reset(0)
         env.x, env.x_dot = 2.39, 10.0
-        _, _, r_o, _ = env.step(np.zeros(1))
+        _, r_task, _ = env.step(np.zeros(1))
         assert env.x == 2.4 and env.x_dot == 0.0
-        assert r_o == 0.0
+        assert r_task == 0.0
 
     def test_deterministic(self):
         actions = np.cos(np.linspace(0, 3, 50))[:, None]
@@ -168,8 +168,8 @@ class TestPointMass:
         env = PointMassND(2, "velocity")
         env.reset(0)
         env.pos = env.target.copy()
-        _, _, r_o, _ = env.step(np.zeros(2))
-        assert r_o == 1.0
+        _, r_task, _ = env.step(np.zeros(2))
+        assert r_task == 1.0
 
     def test_torque_mode_is_double_integrator(self):
         env = PointMassND(1, "torque")
@@ -191,10 +191,10 @@ class TestPointMass:
         for t in range(300):
             a = np.sign(target - env.pos)
             a[a == 0] = 1.0
-            _, _, r_o, terminal = env.step(a)
+            _, r_task, terminal = env.step(a)
             if t >= 100:
                 tail_pos.append(env.pos[0])
-                tail_r.append(r_o)
+                tail_r.append(r_task)
             if terminal:
                 break
         tail_pos = np.array(tail_pos)
@@ -208,9 +208,9 @@ class TestPointMass:
         fine_r = []
         for t in range(300):
             a = np.clip((env2.target - env2.pos) / (0.5 * env2.spec.dt) / 2, -1, 1)
-            _, _, r_o, terminal = env2.step(a)
+            _, r_task, terminal = env2.step(a)
             if t >= 100:
-                fine_r.append(r_o)
+                fine_r.append(r_task)
             if terminal:
                 break
         assert np.mean(tail_r) < np.mean(fine_r)

@@ -25,7 +25,9 @@ from gqn.replay import SumTree
 GOLDEN = Path(__file__).parent / "golden"
 
 # Replay capacity 1024 < 3000 training transitions, so the ring buffer wraps
-# and stale priority updates occur; linear growth passes every ladder level.
+# and overwrites old rows; linear growth passes every ladder level. No
+# priority update goes stale here: train_step updates the handles it has just
+# sampled, with no push in between.
 TRAIN_CONFIG = dict(env="pendulum_swingup", c_a=0.1, min_bins=2, max_bins=9,
                     growth="linear", total_episodes=6, eval_every=2, eval_episodes=2,
                     window=3, cooldown=1, seeds=(7,),
@@ -33,6 +35,16 @@ TRAIN_CONFIG = dict(env="pendulum_swingup", c_a=0.1, min_bins=2, max_bins=9,
                                      "min_fill": 64, "learning_rate": 1e-3, "train_every": 2,
                                      "target_period": 50, "replay_capacity": 1024})
 TRAIN_HASHED = ("checkpoint.bin", "growth_events.csv")
+
+# Adaptive growth: the two-evaluation window fills by episode 1, and the
+# stagnation rule grows the ladder at episodes 2, 5 and 9.
+ADAPTIVE_CONFIG = dict(env="pendulum_swingup", min_bins=2, max_bins=9, growth="adaptive",
+                       total_episodes=10, eval_every=1, eval_episodes=1, window=2,
+                       cooldown=1, seeds=(7,),
+                       hyper_overrides={"hidden_dims": [16, 16], "batch_size": 16,
+                                        "min_fill": 64, "train_every": 4,
+                                        "replay_capacity": 1024})
+ADAPTIVE_STOP = 3
 
 # (slots, priorities) writes; duplicate slots carry equal priorities.
 SUMTREE_WRITES = (
@@ -78,10 +90,22 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def train_golden_run(out_dir: Path) -> Path:
-    config = RunConfig(**TRAIN_CONFIG)
+def train_golden_run(out_dir: Path, config: dict = TRAIN_CONFIG) -> Path:
+    config = RunConfig(**config)
     train(config, config.seeds[0], out_dir, resume=False)
     return out_dir
+
+
+def skip_unless_fingerprint(want: dict) -> None:
+    here = blas_fingerprint()
+    if here != want["fingerprint"]:
+        pytest.skip(f"numpy/BLAS fingerprint {here} differs from the recorded "
+                    f"{want['fingerprint']}; training bytes are only pinned there")
+
+
+def assert_matches_golden(run: Path, name: str, want: dict) -> None:
+    assert (run / "run.csv").read_bytes() == (GOLDEN / f"{name}_run.csv").read_bytes()
+    assert {f: sha256(run / f) for f in TRAIN_HASHED} == want["sha256"]
 
 
 def test_sumtree_matches_golden():
@@ -91,13 +115,30 @@ def test_sumtree_matches_golden():
 
 def test_training_matches_golden(tmp_path):
     want = json.loads((GOLDEN / "train.json").read_text())
-    here = blas_fingerprint()
-    if here != want["fingerprint"]:
-        pytest.skip(f"numpy/BLAS fingerprint {here} differs from the recorded "
-                    f"{want['fingerprint']}; training bytes are only pinned there")
-    run = train_golden_run(tmp_path / "run")
-    assert (run / "run.csv").read_bytes() == (GOLDEN / "train_run.csv").read_bytes()
-    assert {name: sha256(run / name) for name in TRAIN_HASHED} == want["sha256"]
+    skip_unless_fingerprint(want)
+    assert_matches_golden(train_golden_run(tmp_path / "run"), "train", want)
+
+
+def test_adaptive_training_matches_golden(tmp_path):
+    want = json.loads((GOLDEN / "adaptive.json").read_text())
+    skip_unless_fingerprint(want)
+    run = train_golden_run(tmp_path / "run", ADAPTIVE_CONFIG)
+    assert_matches_golden(run, "adaptive", want)
+    assert [ln.split(",")[1] for ln in (run / "growth_events.csv").read_text().splitlines()[2:]] \
+        == ["2", "5", "9"]
+
+
+def test_adaptive_resume_matches_golden(tmp_path):
+    """Stopping after episode 3 and resuming from state.bin restores the
+    evaluation window and cooldown count, so the bytes do not change."""
+    want = json.loads((GOLDEN / "adaptive.json").read_text())
+    skip_unless_fingerprint(want)
+    config = RunConfig(**ADAPTIVE_CONFIG)
+    run = tmp_path / "run"
+    first = train(config, config.seeds[0], run, resume=False, stop_after_episode=ADAPTIVE_STOP)
+    assert first.rows[-1].episode == ADAPTIVE_STOP
+    train(config, config.seeds[0], run, resume=True)
+    assert_matches_golden(run, "adaptive", want)
 
 
 def _regenerate() -> None:
@@ -105,12 +146,13 @@ def _regenerate() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "sumtree.json").write_text(json.dumps(sumtree_trace(), indent=1) + "\n")
-    with tempfile.TemporaryDirectory() as tmp:
-        run = train_golden_run(Path(tmp) / "run")
-        (GOLDEN / "train_run.csv").write_bytes((run / "run.csv").read_bytes())
-        doc = {"fingerprint": blas_fingerprint(),
-               "sha256": {name: sha256(run / name) for name in TRAIN_HASHED}}
-    (GOLDEN / "train.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name, config in (("train", TRAIN_CONFIG), ("adaptive", ADAPTIVE_CONFIG)):
+        with tempfile.TemporaryDirectory() as tmp:
+            run = train_golden_run(Path(tmp) / "run", config)
+            (GOLDEN / f"{name}_run.csv").write_bytes((run / "run.csv").read_bytes())
+            doc = {"fingerprint": blas_fingerprint(),
+                   "sha256": {f: sha256(run / f) for f in TRAIN_HASHED}}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from gqn.blob import load_blob, save_blob
 from gqn.nets import (
     DivergenceError,
     adam_step,
@@ -11,8 +12,8 @@ from gqn.nets import (
     huber_loss_and_grad,
     init_adam,
     init_net,
-    load_net_checkpoint,
-    save_net_checkpoint,
+    net_from_state,
+    net_state,
 )
 
 
@@ -316,8 +317,8 @@ class TestCheckpoint:
             g[:] = rng.normal(size=g.shape)
         adam_step(net, grads, state)
         path = tmp_path / "net.bin"
-        save_net_checkpoint(path, net, state)
-        loaded_net, loaded_state = load_net_checkpoint(path)
+        save_blob(path, *net_state(net, state))
+        loaded_net, loaded_state = net_from_state(*load_blob(path))
         assert loaded_net.layer_dims == net.layer_dims
         for a, b in zip(loaded_net.weights + loaded_net.biases, net.weights + net.biases):
             assert np.array_equal(a, b)

@@ -129,7 +129,7 @@ class TestPrioritizedReplay:
     def test_first_push_priority_one(self):
         buf = PrioritizedReplay(capacity=8)
         buf.push(make_transition(1.0))
-        assert buf.tree.get(0) == 1.0
+        assert buf.tree.leaf_priorities()[0] == 1.0
 
     def test_push_inherits_max_priority(self):
         buf = PrioritizedReplay(capacity=8, alpha=1.0, eps_priority=0.0)
@@ -188,15 +188,15 @@ class TestPrioritizedReplay:
         buf.push(make_transition(0.0))
         _, handles, _ = buf.sample(1, beta=1.0)
         buf.update_priorities(handles, np.array([0.0]))
-        assert buf.tree.get(0) == pytest.approx(1e-3**0.6)
-        assert buf.tree.get(0) > 0
+        assert buf.tree.leaf_priorities()[0] == pytest.approx(1e-3**0.6)
+        assert buf.tree.leaf_priorities()[0] > 0
 
     def test_update_priority_exponent(self):
         buf = PrioritizedReplay(capacity=4, alpha=0.6, eps_priority=1e-3)
         buf.push(make_transition(0.0))
         _, handles, _ = buf.sample(1, beta=1.0)
         buf.update_priorities(handles, np.array([0.5]))
-        assert buf.tree.get(0) == pytest.approx(0.501**0.6, rel=1e-12)
+        assert buf.tree.leaf_priorities()[0] == pytest.approx(0.501**0.6, rel=1e-12)
 
     def test_root_matches_brute_force_after_updates(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from gqn.scheduler import (
     EvalWindow,
-    GrowthPolicy,
     GrowthScheduler,
     adaptive_decide,
     growth_threshold,
@@ -16,6 +17,10 @@ def full_window(values):
     for v in values:
         win.push(v)
     return win
+
+
+def adaptive_scheduler(window, num_levels=4, cooldown=0):
+    return GrowthScheduler("adaptive", 100, num_levels, window, cooldown)
 
 
 def window_with_stats(mean, std, size=10):
@@ -74,93 +79,102 @@ class TestThreshold:
 
 
 class TestAdaptiveDecide:
-    def setup_method(self):
-        self.policy = GrowthPolicy("adaptive", window_size=10, cooldown=5)
-
     def test_grows_below_threshold(self):
         win = window_with_stats(100.0, 10.0)  # threshold 104.0
-        assert adaptive_decide(self.policy, win, 100.0, evals_since_growth=5)
+        assert adaptive_decide(win, 100.0, evals_since_growth=5, cooldown=5)
 
     def test_holds_at_or_above_threshold(self):
         win = window_with_stats(100.0, 10.0)
-        assert not adaptive_decide(self.policy, win, 105.0, evals_since_growth=5)
+        assert not adaptive_decide(win, 105.0, evals_since_growth=5, cooldown=5)
 
     def test_cooldown_gates(self):
         win = window_with_stats(100.0, 10.0)
-        assert not adaptive_decide(self.policy, win, 0.0, evals_since_growth=4)
+        assert not adaptive_decide(win, 0.0, evals_since_growth=4, cooldown=5)
 
     def test_partial_window_never_grows(self):
         win = EvalWindow(10)
         for v in [0.0] * 9:
             win.push(v)
-        assert not adaptive_decide(self.policy, win, -1e9, evals_since_growth=99)
+        assert not adaptive_decide(win, -1e9, evals_since_growth=99, cooldown=5)
 
     def test_requires_adaptive_mode(self):
+        # Only adaptive mode grows after an evaluation, and only it keeps a window.
+        for mode in ("linear", "none"):
+            sched = GrowthScheduler(mode, 100, 4, 2, 0)
+            assert not any(sched.after_eval(v, at_max=False) for v in [10.0, 10.0, -1e9])
+            assert sched.window.values() == [] and sched.evals_since_growth == 0
         with pytest.raises(ValueError):
-            adaptive_decide(GrowthPolicy("linear", total_episodes=10),
-                            full_window([0.0] * 10), 0.0, 10)
+            GrowthScheduler("cosine", 100, 4, 2, 0)
 
 
 class TestSchedulerInvariants:
     def test_monotone_improvement_never_grows(self):
         # returns improving faster than the window noise: mu_t stays at or
         # above the threshold at every check
-        policy = GrowthPolicy("adaptive", window_size=5, cooldown=0)
-        sched = GrowthScheduler(policy, num_levels=4)
+        sched = adaptive_scheduler(5)
         value = 10.0
         for _ in range(100):
             win = sched.window
             if win.full:
                 assert value >= growth_threshold(win)
-            grew = sched.observe_eval(value, at_max=False)
+            grew = sched.after_eval(value, at_max=False)
             assert not grew
             value *= 1.5
 
     def test_noisy_plateau_grows_at_first_eligible_check(self):
         # alternating plateau values give sigma > 0; the exact predicate
         # mu_t < 0.95 mu + 0.9 sigma holds as soon as the window is full
-        policy = GrowthPolicy("adaptive", window_size=4, cooldown=0)
-        sched = GrowthScheduler(policy, num_levels=4)
+        sched = adaptive_scheduler(4)
         values = [90.0, 110.0, 90.0, 110.0, 90.0]
         grew_at = None
         for i, v in enumerate(values):
             if sched.window.full:
                 assert v < growth_threshold(sched.window)
-            if sched.observe_eval(v, at_max=False):
+            if sched.after_eval(v, at_max=False):
                 grew_at = i
                 break
         assert grew_at == 4  # first check with a full window
 
     def test_window_cleared_on_growth(self):
-        policy = GrowthPolicy("adaptive", window_size=3, cooldown=0)
-        sched = GrowthScheduler(policy, num_levels=4)
+        sched = adaptive_scheduler(3)
         for v in [100.0, 100.0, 120.0]:
-            assert not sched.observe_eval(v, at_max=False)
-        assert sched.observe_eval(80.0, at_max=False)
+            assert not sched.after_eval(v, at_max=False)
+        assert sched.after_eval(80.0, at_max=False)
         assert sched.window.values() == []
         assert sched.evals_since_growth == 0
 
     def test_saturates_at_final_level(self):
-        policy = GrowthPolicy("adaptive", window_size=2, cooldown=0)
-        sched = GrowthScheduler(policy, num_levels=2)
+        sched = adaptive_scheduler(2, num_levels=2)
         grew = 0
         at_max = False
         for i in range(50):
-            if sched.observe_eval(float(np.sin(i)), at_max=at_max):
+            if sched.after_eval(float(np.sin(i)), at_max=at_max):
                 grew += 1
                 at_max = True  # single growth exhausts a 2-level ladder
         assert grew <= 1
 
     def test_linear_target_tracks_schedule(self):
-        policy = GrowthPolicy("linear", total_episodes=100)
-        sched = GrowthScheduler(policy, num_levels=4)
-        assert sched.linear_target(0) == 0
-        assert sched.linear_target(20) == 1
-        assert sched.linear_target(99) == 3
+        sched = GrowthScheduler("linear", 100, 4, 10, 5)
+        assert sched.before_episode(0, level=0) == 0
+        assert sched.before_episode(20, level=0) == 1
+        assert sched.before_episode(99, level=1) == 2
+        assert sched.before_episode(99, level=3) == 0
+        for mode in ("adaptive", "none"):
+            assert GrowthScheduler(mode, 100, 4, 10, 5).before_episode(99, level=0) == 0
+
+    def test_state_round_trip(self):
+        sched = adaptive_scheduler(3, cooldown=1)
+        for v in [100.0, 100.0, 120.0, 80.0, 50.0]:
+            sched.after_eval(v, at_max=False)
+        sched.record(500, 3, 2, 3, "adaptive")
+        back = adaptive_scheduler(3, cooldown=1)
+        back.load_state(json.loads(json.dumps(sched.state())))
+        assert back.state() == sched.state()
+        for v in [40.0, 90.0, 10.0]:
+            assert back.after_eval(v, at_max=False) == sched.after_eval(v, at_max=False)
 
     def test_event_log_append(self):
-        policy = GrowthPolicy("linear", total_episodes=100)
-        sched = GrowthScheduler(policy, num_levels=4)
+        sched = GrowthScheduler("linear", 100, 4, 10, 5)
         sched.record(500, 10, 2, 3, "linear")
         sched.record(900, 20, 3, 5, "linear")
         assert [e.new_bins for e in sched.events] == [3, 5]
