@@ -8,7 +8,7 @@ the full grid; coarser levels only mask which bins are selectable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +49,35 @@ class ResolutionLadder:
     def at_max(self) -> bool:
         return self.active_level == self.num_levels - 1
 
+    # Built once per ladder (growth makes a new instance), not on every step.
+    @cached_property
+    def stride(self) -> int:
+        """Full-grid distance between active bins; the active set is 0::stride.
+        Exact by the doubling rule: full_bins - 1 is a power-of-two multiple
+        of active_bins - 1."""
+        return (self.full_bins - 1) // (self.active_bins - 1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Full-resolution grid values, shape (action_dim, full_bins), read-only;
+        endpoints hit the bounds exactly."""
+        lo = np.asarray(self.bounds_lo)[:, None]
+        hi = np.asarray(self.bounds_hi)[:, None]
+        n = self.full_bins
+        idx = np.arange(n, dtype=np.float64)[None, :]
+        values = lo + idx * (hi - lo) / (n - 1)
+        values[:, 0] = self.bounds_lo
+        values[:, -1] = self.bounds_hi
+        values.setflags(write=False)
+        return values
+
+    @cached_property
+    def dims(self) -> np.ndarray:
+        """Dimension index 0..action_dim-1, read-only."""
+        dims = np.arange(self.action_dim)
+        dims.setflags(write=False)
+        return dims
+
 
 def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.0)) -> ResolutionLadder:
     """Ladder from min_bins to max_bins via the doubling rule, starting coarse.
@@ -75,7 +104,7 @@ def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.
         lo, hi = bounds[:, 0], bounds[:, 1]
     else:
         raise ValueError(f"bounds must be (lo, hi) or ({action_dim}, 2), got shape {bounds.shape}")
-    if np.any(lo >= hi):
+    if not (lo < hi).all():  # written so that NaN fails too
         raise ValueError("each bound interval must satisfy lo < hi")
     return ResolutionLadder(
         action_dim=action_dim,
@@ -85,31 +114,14 @@ def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.
     )
 
 
-@lru_cache(maxsize=None)
 def bin_values(ladder: ResolutionLadder) -> np.ndarray:
-    """Full-resolution grid values, shape (action_dim, full_bins), read-only;
-    endpoints hit the bounds exactly."""
-    lo = np.asarray(ladder.bounds_lo)[:, None]
-    hi = np.asarray(ladder.bounds_hi)[:, None]
-    n = ladder.full_bins
-    idx = np.arange(n, dtype=np.float64)[None, :]
-    values = lo + idx * (hi - lo) / (n - 1)
-    values[:, 0] = ladder.bounds_lo
-    values[:, -1] = ladder.bounds_hi
-    values.setflags(write=False)
-    return values
-
-
-def _stride(ladder: ResolutionLadder) -> int:
-    # Exact by the doubling rule: full_bins - 1 is a power-of-two multiple
-    # of active_bins - 1.
-    return (ladder.full_bins - 1) // (ladder.active_bins - 1)
+    """Full-resolution grid values, shape (action_dim, full_bins), read-only."""
+    return ladder.values
 
 
 def active_indices(ladder: ResolutionLadder) -> np.ndarray:
     """Full-grid indices selectable at the current level (same for every dim)."""
-    stride = _stride(ladder)
-    return np.arange(ladder.active_bins, dtype=np.int64) * stride
+    return np.arange(ladder.active_bins, dtype=np.int64) * ladder.stride
 
 
 def grow(ladder: ResolutionLadder) -> tuple[ResolutionLadder, bool]:
@@ -130,12 +142,15 @@ def decode(ladder: ResolutionLadder, bin_indices) -> np.ndarray:
         raise MaskViolationError(
             f"expected {ladder.action_dim} bin indices, got shape {idx.shape}"
         )
-    if np.any(idx < 0) or np.any(idx >= ladder.full_bins):
-        raise MaskViolationError(f"bin indices {idx.tolist()} out of range [0, {ladder.full_bins})")
-    stride = _stride(ladder)
-    if np.any(idx % stride != 0):
+    # The checks run on a Python list: for a handful of ints, min/max/any
+    # cost less than numpy reductions.
+    bins = idx.tolist()
+    if min(bins) < 0 or max(bins) >= ladder.full_bins:
+        raise MaskViolationError(f"bin indices {bins} out of range [0, {ladder.full_bins})")
+    stride = ladder.stride
+    if any(i % stride for i in bins):
         raise MaskViolationError(
-            f"bin indices {idx.tolist()} include masked bins at level "
+            f"bin indices {bins} include masked bins at level "
             f"{ladder.active_level} ({ladder.active_bins} active of {ladder.full_bins})"
         )
-    return bin_values(ladder)[np.arange(ladder.action_dim), idx].copy()
+    return ladder.values[ladder.dims, idx]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nets
-from .actions import ResolutionLadder, active_indices, build_ladder, grow
+from .actions import ResolutionLadder, build_ladder, grow
 from .blob import load_blob, save_blob
 from .nets import DivergenceError
 from .replay import Batch, PrioritizedReplay
@@ -69,9 +69,14 @@ class Hyperparams:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        for name in ("per_alpha", "per_eps"):
+        for name in ("per_alpha", "per_eps", "epsilon_decay_frac"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("per_beta_start", "per_beta_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.adam_epsilon > 0:
+            raise ValueError(f"adam_epsilon must be positive, got {self.adam_epsilon}")
         if self.replay_capacity < max(self.batch_size, self.min_fill):
             raise ValueError(
                 f"replay_capacity {self.replay_capacity} is below max(batch_size, min_fill) = "
@@ -132,14 +137,14 @@ class GqnAgent:
         if not 0.0 <= epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         util = self.utilities(self.online_net, observation)[0]
-        active = active_indices(self.ladder)
-        greedy = active[np.argmax(util[:, active], axis=1)]
+        stride = self.ladder.stride  # the active bins are 0::stride
+        greedy = util[:, ::stride].argmax(axis=1) * stride
         if epsilon == 0.0:
             return greedy
         m = self.ladder.action_dim
         explore = self.explore_rng.random(m) < epsilon
-        if np.any(explore):
-            draws = active[self.explore_rng.integers(0, active.shape[0], size=m)]
+        if explore.any():
+            draws = self.explore_rng.integers(0, self.ladder.active_bins, size=m) * stride
             return np.where(explore, draws, greedy)
         return greedy
 
@@ -153,12 +158,12 @@ class GqnAgent:
         scores them.
         """
         b, m = batch.action_bins.shape
-        active = active_indices(self.ladder)
+        stride = self.ladder.stride
         target_util = self.utilities(self.target_net, batch.bootstrap_states)
         chooser = target_util if self.hyper.pure_target_max else \
             online_boot.reshape(target_util.shape)
-        bins = active[np.argmax(chooser[:, :, active], axis=2)]
-        selected = target_util[np.arange(b)[:, None], np.arange(m)[None, :], bins]
+        bins = chooser[:, :, ::stride].argmax(axis=2) * stride
+        selected = target_util[np.arange(b)[:, None], self.ladder.dims, bins]
         boot_value = selected.sum(axis=1) / m
         return batch.n_step_rewards + batch.bootstrap_discounts * boot_value
 
@@ -176,15 +181,16 @@ class GqnAgent:
         sample, each carrying 1/M of the sample's loss gradient. Hard
         target sync every target_period gradient steps. One online forward
         over [states; bootstrap states] serves both the prediction and the
-        double-Q bin choice.
+        double-Q bin choice; with pure_target_max it runs over states only.
         """
         hyper = self.hyper
         if beta is None:
             beta = hyper.per_beta_start
         batch, handles, weights = self.replay.sample(hyper.batch_size, beta)
         b, m = batch.action_bins.shape
-        out, cache = nets.forward(self.online_net,
-                                  np.concatenate([batch.states, batch.bootstrap_states]))
+        inputs = batch.states if hyper.pure_target_max else \
+            np.concatenate([batch.states, batch.bootstrap_states])
+        out, cache = nets.forward(self.online_net, inputs)
         targets = self._targets(batch, out[b:])
         flat_idx = batch.action_bins + np.arange(m)[None, :] * self.ladder.full_bins
         rows = np.arange(b)[:, None]

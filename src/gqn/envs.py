@@ -44,7 +44,7 @@ class Environment:
         action = np.asarray(action, dtype=np.float64)
         if action.shape != (self.spec.action_dim,):
             raise ValueError(f"action must have shape ({self.spec.action_dim},), got {action.shape}")
-        if np.any(np.abs(action) > 1.0 + 1e-12):
+        if not abs(action).max() <= 1.0 + 1e-12:  # written so that NaN fails too
             raise ValueError(f"action {action.tolist()} outside [-1, 1] bounds")
         r_task = self._advance(action)
         self._t += 1
@@ -215,7 +215,7 @@ class PenaltyWrapper:
     """
 
     def __init__(self, env: Environment, c_a: float):
-        if c_a < 0:
+        if not c_a >= 0:
             raise ValueError(f"penalty coefficient must be >= 0, got {c_a}")
         self.env = env
         self.c_a = float(c_a)

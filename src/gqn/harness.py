@@ -65,8 +65,10 @@ class RunConfig:
         self.min_bins, self.max_bins = int(self.min_bins), int(self.max_bins)
         if self.growth not in ("linear", "adaptive", "none"):
             raise ValueError(f"growth must be linear/adaptive/none, got {self.growth!r}")
-        if self.c_a < 0:
+        if not self.c_a >= 0:
             raise ValueError(f"c_a must be >= 0, got {self.c_a}")
+        if not -1.0 <= self.bounds[0] < self.bounds[1] <= 1.0:  # envs take actions in [-1, 1]
+            raise ValueError(f"bounds must satisfy -1 <= lo < hi <= 1, got {self.bounds}")
         for fname in ("total_episodes", "eval_every", "eval_episodes", "window"):
             if getattr(self, fname) < 1:
                 raise ValueError(f"{fname} must be >= 1")

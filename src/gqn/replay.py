@@ -53,11 +53,12 @@ class SumTree:
         return self.nodes[self.capacity :].copy()
 
     def set(self, slot: int, priority: float) -> None:
+        nodes = self.nodes
         idx = self.capacity + slot
-        self.nodes[idx] = priority
+        nodes[idx] = priority
         idx >>= 1
         while idx >= 1:
-            self.nodes[idx] = self.nodes[2 * idx] + self.nodes[2 * idx + 1]
+            nodes[idx] = nodes.item(2 * idx) + nodes.item(2 * idx + 1)
             idx >>= 1
 
     def set_batch(self, slots: np.ndarray, priorities: np.ndarray) -> None:

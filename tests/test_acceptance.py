@@ -3,7 +3,8 @@ tolerance, each printing a pass/fail line.
 
 The desk-scale learning criteria share a session fixture that trains the
 whole run matrix (28 seeded runs); on one CPU that takes roughly 15-20
-minutes, dominating the suite's runtime.
+minutes, dominating the suite's runtime. Those tests carry the `slow`
+marker, so `-m "not slow"` runs the rest.
 """
 
 import time
@@ -288,6 +289,7 @@ def test_schedule_unit_suite():
 # criterion: mask safety over a full training run
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_mask_safety_full_run(desk_runs):
     run = desk_runs["pend_pen01"][0]["record"]
     steps = run.rows[-1].env_steps
@@ -303,6 +305,7 @@ def test_mask_safety_full_run(desk_runs):
 # criterion: desk-scale learning (a)-(d)
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_desk_learning_a_penalized_reaches_reference(desk_runs):
     passing = []
     details = []
@@ -318,6 +321,7 @@ def test_desk_learning_a_penalized_reaches_reference(desk_runs):
            sum(passing) >= 3, f"{sum(passing)}/4 seeds ({', '.join(details)})")
 
 
+@pytest.mark.slow
 def test_desk_learning_b_growth_beats_static(desk_runs):
     grown = _final_returns(desk_runs, "pend_pen05").mean()
     static2 = _final_returns(desk_runs, "pend_static2").mean()
@@ -327,6 +331,7 @@ def test_desk_learning_b_growth_beats_static(desk_runs):
            ok, f"GQN {grown:.1f} vs static2 {static2:.1f}, 0.9x static9 {0.9 * static9:.1f}")
 
 
+@pytest.mark.slow
 def test_desk_learning_c_velocity_needs_resolution(desk_runs):
     grown = _final_returns(desk_runs, "pm_grow")
     static2 = _final_returns(desk_runs, "pm_static2")
@@ -336,6 +341,7 @@ def test_desk_learning_c_velocity_needs_resolution(desk_runs):
            ok, f"GQN finals {np.round(grown, 1).tolist()} vs static2 {np.round(static2, 1).tolist()}")
 
 
+@pytest.mark.slow
 def test_desk_learning_d_penalty_smooths_control(desk_runs):
     # evaluate both converged policies under a common c_a = 0.5 env so the
     # incurred penalty is comparable (a c_a = 0 run never incurs one)
@@ -357,6 +363,7 @@ def test_desk_learning_d_penalty_smooths_control(desk_runs):
                f"R {penalized['R']:.0f}>={0.8 * free['R']:.0f}")
 
 
+@pytest.mark.slow
 def test_desk_trained_agent_beats_random_init(desk_runs):
     trained = evaluate(desk_runs["pend_free"][0]["dir"] / "checkpoint.bin", episodes=4)
     fresh = GqnAgent(3, build_ladder(2, 9, 1), MATRIX["pend_free"].make_hyper(0))

@@ -44,6 +44,10 @@ class TestBuildLadder:
         with pytest.raises(ValueError):
             build_ladder(2, 3, action_dim=1, bounds=(1.0, -1.0))
 
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="lo < hi"):
+            build_ladder(2, 3, action_dim=1, bounds=(1.0, float("nan")))
+
 
 class TestBinValue:
     def test_three_bins(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import joint_argmax, make_table_agent, single_batch
 
+from gqn import nets
 from gqn.actions import active_indices, build_ladder, decode, grow
 from gqn.agent import GqnAgent, Hyperparams, beta_schedule, epsilon_schedule
 from gqn.nets import DivergenceError, forward
@@ -203,6 +204,44 @@ class TestTrainStep:
         with pytest.raises(DivergenceError):
             agent.train_step()
 
+    def test_pure_target_max_forwards_states_only(self, monkeypatch):
+        """With pure_target_max the online net runs over the B sampled states
+        only, and the step's targets equal td_target's."""
+        ladder = build_ladder(2, 9, action_dim=2)
+        agent = GqnAgent(3, ladder, Hyperparams(hidden_dims=(8,), batch_size=4, min_fill=4,
+                                                pure_target_max=True, seed=5))
+        rng = np.random.default_rng(0)
+        for _ in range(8):
+            agent.replay.push(Transition(
+                state=rng.normal(size=3), action_bins=np.array([0, 8]),
+                n_step_reward=float(rng.normal()), bootstrap_state=rng.normal(size=3),
+                bootstrap_discount=0.9))
+        calls, seen = [], {}
+        real_forward, real_loss = nets.forward, nets.huber_loss_and_grad
+        real_sample = agent.replay.sample
+
+        def spy_forward(net, inputs):
+            calls.append(("online" if net is agent.online_net else "target", len(inputs)))
+            return real_forward(net, inputs)
+
+        def spy_sample(*args):
+            out = real_sample(*args)
+            seen["batch"] = out[0]
+            return out
+
+        def spy_loss(pred, targets, *rest):
+            seen["targets"] = targets.copy()
+            return real_loss(pred, targets, *rest)
+
+        monkeypatch.setattr(nets, "forward", spy_forward)
+        monkeypatch.setattr(nets, "huber_loss_and_grad", spy_loss)
+        monkeypatch.setattr(agent.replay, "sample", spy_sample)
+        agent.train_step()
+        monkeypatch.undo()
+        assert calls == [("online", 4), ("target", 4)]
+        # the target net has not synced yet, so td_target sees the same scorer
+        assert np.array_equal(seen["targets"], agent.td_target(seen["batch"]))
+
     def test_priorities_updated_from_td_error(self):
         agent = make_table_agent(np.zeros((1, 9)), 2, 9, learning_rate=0.0)
         self.push_transition(agent, reward=3.0)  # |delta| = 3 with zero net
@@ -342,6 +381,11 @@ class TestHyperparams:
         ({"adam_beta1": -0.1}, "adam_beta1"),
         ({"adam_beta2": 1.0}, "adam_beta2"),
         ({"adam_beta2": float("nan")}, "adam_beta2"),
+        ({"adam_epsilon": -1e-8}, "adam_epsilon"),
+        ({"adam_epsilon": float("nan")}, "adam_epsilon"),
+        ({"per_beta_start": float("nan")}, "per_beta_start"),
+        ({"per_beta_end": -2.0}, "per_beta_end"),
+        ({"epsilon_decay_frac": float("nan")}, "epsilon_decay_frac"),
     ])
     def test_invalid_values_rejected_at_construction(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -350,4 +394,5 @@ class TestHyperparams:
     def test_boundary_values_accepted(self):
         Hyperparams(learning_rate=0.0, target_period=1, epsilon_start=0.0, epsilon_end=1.0)
         Hyperparams(per_eps=0.0, per_alpha=0.0, adam_beta1=0.0, adam_beta2=0.0)
+        Hyperparams(per_beta_start=0.0, per_beta_end=1.0, epsilon_decay_frac=0.0)
         Hyperparams(replay_capacity=1000, batch_size=1000, min_fill=1000)

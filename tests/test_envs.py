@@ -37,6 +37,10 @@ class TestMakeEnv:
         with pytest.raises(ValueError):
             make_env("pendulum_swingup", c_a=-0.1)
 
+    def test_nan_penalty_rejected(self):
+        with pytest.raises(ValueError):
+            make_env("pendulum_swingup", c_a=float("nan"))
+
 
 class TestPendulum:
     def test_upright_equilibrium(self):
@@ -256,6 +260,12 @@ class TestStepContract:
         env.reset(0)
         with pytest.raises(ValueError):
             env.step(np.array([1.5]))
+
+    def test_nan_action_rejected(self):
+        env = make_env("pointmass_nd2_velocity")
+        env.reset(0)
+        with pytest.raises(ValueError, match="outside"):
+            env.step(np.array([0.5, np.nan]))
 
     def test_reward_bounds(self):
         rng = np.random.default_rng(0)

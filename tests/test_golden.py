@@ -1,10 +1,12 @@
 """Golden outputs: byte-exact files recorded from a known-good build.
 
-The sum-tree golden involves no BLAS and must always match. The training
-golden depends on BLAS rounding (RL dynamics amplify a one-ulp difference),
-so it is pinned to the numpy/BLAS fingerprint it was recorded with; on any
-other fingerprint the test skips and names the difference. It never
-compares loosely.
+The sum-tree and decode goldens, and the env rollouts with a 1-D action,
+involve no BLAS and must always match. The training and greedy-evaluation
+goldens depend on BLAS rounding (RL dynamics amplify a one-ulp difference),
+and so do the multi-dimensional env rollouts, whose `a @ a` and `err @ err`
+are BLAS dot products. Those are pinned to the numpy/BLAS fingerprint they
+were recorded with; on any other fingerprint the test skips and names the
+difference. No golden is compared loosely.
 
 Regenerate only for a declared numerics change:
     PYTHONPATH=src python tests/test_golden.py
@@ -19,7 +21,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqn.harness import RunConfig, train
+from gqn.actions import MaskViolationError, build_ladder, decode, grow
+from gqn.agent import GqnAgent, Hyperparams
+from gqn.envs import make_env
+from gqn.harness import RunConfig, evaluate, train
 from gqn.replay import SumTree
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,6 +61,26 @@ SUMTREE_WRITES = (
 # Prefix queries run after each write.
 SUMTREE_QUERIES = (0.0, 0.2, 0.6999, 1.0, 5.5, 9.0, 12.3, 17.0, 20.0, 24.0)
 
+# Every env family, with and without the action penalty; each rolls out a
+# full episode of uniform random actions drawn from a fixed seed.
+ENV_IDS = ("pendulum_swingup", "cartpole_swingup", "pointmass_nd2_torque",
+           "pointmass_nd2_velocity", "pointmass_nd38_velocity")
+ENV_CASES = tuple(f"{env_id}@{c_a:g}" for env_id in ENV_IDS for c_a in (0.0, 0.5))
+
+# (min_bins, max_bins) ladders decoded at every level, two dims with
+# different bounds. Each probe is an index list whose outcome, values or
+# rejection message, is recorded at every level.
+DECODE_LADDERS = ((2, 9), (9, 65))
+DECODE_BOUNDS = ((-1.0, 1.0), (-0.3, 0.7))
+DECODE_PROBES = ([0], [0, 0, 0], [-1, 0], [0, 9], [0, 65], [70, -3], [1, 0], [0, 3], [2, 6],
+                 [8, 64], [[0, 0]])
+
+# (env id, c_a, min_bins, max_bins) of the seeded untrained agents whose
+# greedy returns are pinned at the coarsest and the finest level.
+EVAL_ENVS = (("pendulum_swingup", 0.1, 2, 9), ("cartpole_swingup", 0.1, 2, 9),
+             ("pointmass_nd2_velocity", 0.5, 9, 65), ("pointmass_nd38_velocity", 0.5, 9, 65))
+EVAL_EPISODES = 2
+
 
 def blas_fingerprint() -> dict:
     """numpy version, BLAS build and the BLAS kernel chosen at run time."""
@@ -90,6 +115,69 @@ def sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def env_rollout(case: str) -> dict:
+    """sha256 of the observation and reward bytes of one full episode."""
+    env_id, c_a = case.split("@")
+    env = make_env(env_id, float(c_a))
+    m = env.spec.action_dim
+    actions = np.random.default_rng(11).uniform(-1.0, 1.0, size=(env.spec.horizon, m))
+    obs, rewards = [env.reset(5)], []
+    for action in actions:
+        o, r, r_task, terminal = env.step(action)
+        obs.append(o)
+        rewards.append((r, r_task))
+    assert terminal
+    return {"obs": hashlib.sha256(np.asarray(obs).tobytes()).hexdigest(),
+            "rewards": hashlib.sha256(np.asarray(rewards).tobytes()).hexdigest()}
+
+
+def decode_outcome(ladder, idx) -> list[str] | str:
+    try:
+        return [float(v).hex() for v in decode(ladder, idx)]
+    except MaskViolationError as exc:
+        return str(exc)
+
+
+def decode_trace() -> dict:
+    """Per level: hex values of every active bin, and the outcome (values or
+    rejection message) of each probe."""
+    out = {}
+    for lo, hi in DECODE_LADDERS:
+        ladder = build_ladder(lo, hi, 2, DECODE_BOUNDS)
+        levels = []
+        while True:
+            stride = (ladder.full_bins - 1) // (ladder.active_bins - 1)
+            values = [[float(v).hex() for v in decode(ladder, [i, i])]
+                      for i in range(0, ladder.full_bins, stride)]
+            levels.append({"values": values,
+                           "probes": [decode_outcome(ladder, idx) for idx in DECODE_PROBES]})
+            ladder, grew = grow(ladder)
+            if not grew:
+                break
+        out[f"{lo}to{hi}"] = levels
+    return out
+
+
+def eval_trace() -> dict:
+    """Greedy returns (hex) and the sha256 of the action bytes of seeded
+    untrained agents, at the coarsest and the finest ladder level."""
+    out = {}
+    for i, (env_id, c_a, lo, hi) in enumerate(EVAL_ENVS):
+        spec = make_env(env_id, c_a).spec
+        ladder = build_ladder(lo, hi, spec.action_dim)
+        agent = GqnAgent(spec.obs_dim, ladder,
+                         Hyperparams(hidden_dims=(64, 64), batch_size=64, seed=100 + i))
+        for level in ("coarse", "fine"):
+            while level == "fine" and not agent.ladder.at_max:
+                agent.on_growth(grow(agent.ladder)[0])
+            result = evaluate(agent, EVAL_EPISODES, env=make_env(env_id, c_a), base_seed=3)
+            actions = np.concatenate([t.actions for t in result["traces"]])
+            out[f"{env_id}@{level}"] = {
+                "returns": [float(r).hex() for r in result["returns"]],
+                "actions": hashlib.sha256(actions.tobytes()).hexdigest()}
+    return out
+
+
 def train_golden_run(out_dir: Path, config: dict = TRAIN_CONFIG) -> Path:
     config = RunConfig(**config)
     train(config, config.seeds[0], out_dir, resume=False)
@@ -111,6 +199,24 @@ def assert_matches_golden(run: Path, name: str, want: dict) -> None:
 def test_sumtree_matches_golden():
     want = json.loads((GOLDEN / "sumtree.json").read_text())
     assert sumtree_trace() == want
+
+
+@pytest.mark.parametrize("case", ENV_CASES)
+def test_env_rollout_matches_golden(case):
+    want = json.loads((GOLDEN / "envs.json").read_text())
+    if make_env(case.split("@")[0]).spec.action_dim > 1:
+        skip_unless_fingerprint(want)
+    assert env_rollout(case) == want["rollouts"][case]
+
+
+def test_decode_matches_golden():
+    assert decode_trace() == json.loads((GOLDEN / "decode.json").read_text())
+
+
+def test_greedy_eval_matches_golden():
+    want = json.loads((GOLDEN / "eval.json").read_text())
+    skip_unless_fingerprint(want)
+    assert eval_trace() == want["evaluations"]
 
 
 def test_training_matches_golden(tmp_path):
@@ -146,6 +252,11 @@ def _regenerate() -> None:
 
     GOLDEN.mkdir(exist_ok=True)
     (GOLDEN / "sumtree.json").write_text(json.dumps(sumtree_trace(), indent=1) + "\n")
+    (GOLDEN / "decode.json").write_text(json.dumps(decode_trace(), indent=1) + "\n")
+    for name, key, trace in (("envs", "rollouts", lambda: {c: env_rollout(c) for c in ENV_CASES}),
+                             ("eval", "evaluations", eval_trace)):
+        doc = {"fingerprint": blas_fingerprint(), key: trace()}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, config in (("train", TRAIN_CONFIG), ("adaptive", ADAPTIVE_CONFIG)):
         with tempfile.TemporaryDirectory() as tmp:
             run = train_golden_run(Path(tmp) / "run", config)

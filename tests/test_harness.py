@@ -63,6 +63,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             tiny_config(min_bins=2, max_bins=8)
 
+    def test_nan_penalty_rejected(self):
+        with pytest.raises(ValueError, match="c_a"):
+            tiny_config(c_a=float("nan"))
+
+    @pytest.mark.parametrize("bounds", [(-2.0, 2.0), (-1.0, 1.5), (0.5, float("nan"))])
+    def test_bounds_outside_action_range_rejected(self, bounds):
+        # an endpoint bin past [-1, 1] would fail at the first env step
+        with pytest.raises(ValueError, match="bounds"):
+            tiny_config(bounds=bounds)
+
     def test_seed_not_allowed_in_hyper(self):
         with pytest.raises(ValueError, match="seeds list"):
             tiny_config(hyper_overrides={"seed": 3})
