@@ -106,6 +106,8 @@ def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.
         raise ValueError(f"bounds must be (lo, hi) or ({action_dim}, 2), got shape {bounds.shape}")
     if not (lo < hi).all():  # written so that NaN fails too
         raise ValueError("each bound interval must satisfy lo < hi")
+    if not np.isfinite(bounds).all():
+        raise ValueError(f"bounds must be finite, got {bounds.tolist()}")
     return ResolutionLadder(
         action_dim=action_dim,
         level_bins=tuple(seq),

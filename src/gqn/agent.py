@@ -150,12 +150,12 @@ class GqnAgent:
 
     # -- targets and updates ------------------------------------------------
 
-    def _targets(self, batch: Batch, online_boot: np.ndarray) -> np.ndarray:
+    def _targets(self, batch: Batch, online_boot: np.ndarray | None) -> np.ndarray:
         """td_target, given the online net's output at the bootstrap states.
 
         Its per-dimension argmax over the active bins picks the bootstrap
-        bins (double-Q) unless pure_target_max is set; the target net
-        scores them.
+        bins (double-Q) unless pure_target_max is set, which ignores it;
+        the target net scores them.
         """
         b, m = batch.action_bins.shape
         stride = self.ladder.stride
@@ -171,7 +171,8 @@ class GqnAgent:
         """n-step targets: reward sum plus discounted masked bootstrap value."""
         if len(batch) == 0:
             raise ValueError("empty batch")
-        online_boot, _ = nets.forward(self.online_net, batch.bootstrap_states)
+        online_boot = None if self.hyper.pure_target_max else \
+            nets.forward(self.online_net, batch.bootstrap_states)[0]
         return self._targets(batch, online_boot)
 
     def train_step(self, beta: float | None = None) -> dict[str, float]:
@@ -218,8 +219,9 @@ class GqnAgent:
 
     # -- persistence ----------------------------------------------------------
 
-    def checkpoint_state(self, extra_meta: dict | None = None):
-        """(meta, arrays) capturing nets, optimizer, ladder, counters, rng."""
+    def save(self, path: str | Path, extra_meta: dict | None = None) -> str:
+        """Write nets, optimizer, ladder, counters and rng to one file
+        atomically; returns its sha256 hex digest."""
         meta_online, arrays = nets.net_state(self.online_net, self.adam, prefix="online_")
         meta_target, arrays_t = nets.net_state(self.target_net, prefix="target_")
         arrays.update(arrays_t)
@@ -244,14 +246,13 @@ class GqnAgent:
         }
         if extra_meta:
             meta["extra"] = extra_meta
-        return meta, arrays
-
-    def save(self, path: str | Path, extra_meta: dict | None = None) -> None:
-        meta, arrays = self.checkpoint_state(extra_meta)
-        save_blob(path, meta, arrays)
+        return save_blob(path, meta, arrays)
 
     @classmethod
-    def _from_state(cls, meta: dict, arrays: dict) -> "GqnAgent":
+    def load(cls, path: str | Path) -> tuple["GqnAgent", dict]:
+        """Returns (agent, extra_meta). Replay contents are not part of the
+        agent checkpoint; the harness snapshots them separately for resume."""
+        meta, arrays = load_blob(path)
         hyper_dict = dict(meta["hyper"])
         hyper_dict["hidden_dims"] = tuple(hyper_dict["hidden_dims"])
         hyper = Hyperparams(**hyper_dict)
@@ -266,11 +267,4 @@ class GqnAgent:
         agent.env_steps = int(meta["env_steps"])
         agent.grad_steps = int(meta["grad_steps"])
         agent.explore_rng.bit_generator.state = meta["explore_rng"]
-        return agent
-
-    @classmethod
-    def load(cls, path: str | Path) -> tuple["GqnAgent", dict]:
-        """Returns (agent, extra_meta). Replay contents are not part of the
-        agent checkpoint; the harness snapshots them separately for resume."""
-        meta, arrays = load_blob(path)
-        return cls._from_state(meta, arrays), meta.get("extra", {})
+        return agent, meta.get("extra", {})

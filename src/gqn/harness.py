@@ -2,14 +2,16 @@
 
 A run is fully determined by (config, seed): env resets, exploration,
 replay sampling, and evaluation all derive from them, so run.csv is
-byte-reproducible. Runs checkpoint at every evaluation and can resume
-exactly from the latest snapshot.
+byte-reproducible. Runs checkpoint at every evaluation, replacing each file
+atomically, and resume exactly from the latest snapshot, even after a kill.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -20,7 +22,7 @@ import numpy as np
 
 from .actions import build_ladder, decode, grow
 from .agent import GqnAgent, Hyperparams, beta_schedule, epsilon_schedule
-from .blob import load_blob, save_blob
+from .blob import load_blob, save_blob, write_atomic
 from .envs import make_env
 from .metrics import EpisodeTrace, episode_metrics, normalize_radar
 from .nets import DivergenceError
@@ -31,6 +33,7 @@ log = logging.getLogger("gqn.harness")
 
 RUN_CSV_SCHEMA = "run_csv_v1"
 EVENTS_CSV_SCHEMA = "growth_events_v1"
+SNAPSHOT_VERSION = 2  # state.bin holds no agent; it records the checkpoint's sha256
 _LADDER_KEYS = ("min_bins", "max_bins", "bounds")  # grouped under "ladder" in config dicts
 
 _TRAIN_TAG = 1
@@ -163,11 +166,15 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _write_json(path: Path, doc) -> None:
+    write_atomic(path, [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()])
+
+
 def _write_csv(path: Path, schema: str, row_type, rows) -> None:
     names = [f.name for f in fields(row_type)]
     lines = [f"# schema={schema}", ",".join(names)]
     lines += [",".join(_fmt(getattr(row, n)) for n in names) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, [("\n".join(lines) + "\n").encode()])
 
 
 def write_run_csv(path: Path, rows: list[EvalRow]) -> None:
@@ -226,12 +233,13 @@ def _apply_growth(agent: GqnAgent, scheduler: GrowthScheduler, episode: int) -> 
 
 def _save_training_state(path: Path, agent: GqnAgent, scheduler: GrowthScheduler,
                          record: RunRecord, next_episode: int, last_loss: float,
-                         config: RunConfig, seed: int) -> None:
-    agent_meta, arrays = agent.checkpoint_state()
+                         config: RunConfig, seed: int, checkpoint_sha256: str) -> None:
+    """Everything a resume needs beyond the checkpoint, plus that checkpoint's
+    sha256; the agent itself lives only in the checkpoint."""
     replay_meta, replay_arrays = agent.replay.state()
-    arrays.update({f"replay_{k}": v for k, v in replay_arrays.items()})
     meta = {
-        "agent": agent_meta,
+        "snapshot_version": SNAPSHOT_VERSION,
+        "checkpoint_sha256": checkpoint_sha256,
         "replay": replay_meta,
         "scheduler": scheduler.state(),
         "rows": [asdict(r) for r in record.rows],
@@ -240,16 +248,34 @@ def _save_training_state(path: Path, agent: GqnAgent, scheduler: GrowthScheduler
         "seed": seed,
         "config": config.to_dict(),
     }
-    save_blob(path, meta, arrays)
+    save_blob(path, meta, {f"replay_{k}": v for k, v in replay_arrays.items()})
 
 
-def _load_training_state(path: Path, config: RunConfig, seed: int,
+def _sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def _load_training_state(out: Path, config: RunConfig, seed: int,
                          scheduler: GrowthScheduler):
+    """Restore from state.bin and the checkpoint whose sha256 it records. A
+    kill between the state.bin commit and the checkpoint rename left that
+    checkpoint as checkpoint.next; the rename is finished here."""
+    path, checkpoint, pending = out / "state.bin", out / "checkpoint.bin", out / "checkpoint.next"
     meta, arrays = load_blob(path)
+    version = meta.get("snapshot_version", 1)  # version 1 predates the field
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"{path}: snapshot version {version} is not supported; this "
+                         f"program resumes version {SNAPSHOT_VERSION} only")
     if meta["config"] != config.to_dict() or meta["seed"] != seed:
         raise ValueError(f"{path}: snapshot was produced by a different (config, seed)")
-    agent = GqnAgent._from_state(meta["agent"], arrays)
-    replay_arrays = {k[len("replay_"):]: v for k, v in arrays.items() if k.startswith("replay_")}
+    want = meta["checkpoint_sha256"]
+    if _sha256(pending) == want:
+        os.replace(pending, checkpoint)
+    elif _sha256(checkpoint) != want:
+        raise ValueError(f"{checkpoint} does not match the checkpoint sha256 {want} "
+                         f"recorded in {path}")
+    agent, _ = GqnAgent.load(checkpoint)
+    replay_arrays = {k.removeprefix("replay_"): v for k, v in arrays.items()}
     agent.replay = PrioritizedReplay.from_state(meta["replay"], replay_arrays)
     scheduler.load_state(meta["scheduler"])
     record = RunRecord(rows=[EvalRow(**r) for r in meta["rows"]], events=scheduler.events)
@@ -262,9 +288,9 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
     config.json / checkpoint.bin (and a resume snapshot) into out_dir."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(out / "config.json", config.to_dict())
     state_path = out / "state.bin"
-    checkpoint_path = out / "checkpoint.bin"
+    checkpoint_path, pending_path = out / "checkpoint.bin", out / "checkpoint.next"
     started = time.perf_counter()
 
     env = make_env(config.env, config.c_a)
@@ -277,7 +303,7 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
 
     if resume and state_path.exists():
         agent, record, start_episode, last_loss = _load_training_state(
-            state_path, config, seed, scheduler)
+            out, config, seed, scheduler)
         hyper = agent.hyper
         log.info("resuming %s seed %d from episode %d", config.name, seed, start_episode)
     else:
@@ -328,12 +354,14 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
                          config.name, seed, episode, eval_mean, row.active_bins)
                 if scheduler.after_eval(eval_mean, agent.ladder.at_max):
                     _apply_growth(agent, scheduler, episode)
-                agent.save(checkpoint_path, extra_meta={
+                # The tables go first, so that the commit (state.bin) finds its rows written.
+                digest = agent.save(pending_path, extra_meta={
                     "env": config.env, "c_a": config.c_a, "seed": seed, "episode": episode})
-                _save_training_state(state_path, agent, scheduler, record,
-                                     episode + 1, last_loss, config, seed)
                 write_run_csv(out / "run.csv", record.rows)
                 write_events_csv(out / "growth_events.csv", scheduler.events)
+                _save_training_state(state_path, agent, scheduler, record,
+                                     episode + 1, last_loss, config, seed, digest)
+                os.replace(pending_path, checkpoint_path)
 
             if stop_after_episode is not None and episode >= stop_after_episode:
                 break
@@ -341,8 +369,8 @@ def train(config: RunConfig, seed: int, out_dir, resume: bool = True,
         record.diverged = True
         write_run_csv(out / "run.csv", record.rows)
         write_events_csv(out / "growth_events.csv", scheduler.events)
-        (out / "diagnostic.json").write_text(json.dumps(
-            {"diverged": True, "error": str(exc), "episode_reached": len(record.rows)}) + "\n")
+        diagnostic = {"diverged": True, "error": str(exc), "episode_reached": len(record.rows)}
+        write_atomic(out / "diagnostic.json", [(json.dumps(diagnostic) + "\n").encode()])
         raise
 
     record.wall_time = time.perf_counter() - started
@@ -401,7 +429,12 @@ def sweep(configs: list[RunConfig], parallel_workers: int, out_dir) -> dict:
     if parallel_workers > 1:
         with ProcessPoolExecutor(max_workers=parallel_workers) as pool:
             futures = {key: pool.submit(_sweep_cell, *args) for key, args in cells.items()}
-            results = {key: fut.result() for key, fut in futures.items()}
+            results = {}
+            for key, fut in futures.items():
+                try:
+                    results[key] = fut.result()
+                except Exception as exc:  # e.g. BrokenProcessPool after a worker died
+                    results[key] = {"rows": [], "error": f"{type(exc).__name__}: {exc}"}
     else:
         results = {key: _sweep_cell(*args) for key, args in cells.items()}
 
@@ -425,7 +458,7 @@ def sweep(configs: list[RunConfig], parallel_workers: int, out_dir) -> dict:
                 "final_mean_R": float(r_orig[:, -1].mean()),
             })
         aggregate[cfg.name] = entry
-    (out / "aggregate.json").write_text(json.dumps(aggregate, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "aggregate.json", aggregate)
     return aggregate
 
 
@@ -458,5 +491,5 @@ def radar_report(run_dirs, baseline_dir, out_file=None, episodes: int = 10,
             "ratios": normalize_radar(raw, baseline_metrics),
         }
     if out_file is not None:
-        Path(out_file).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write_json(Path(out_file), report)
     return report

@@ -48,6 +48,13 @@ class TestBuildLadder:
         with pytest.raises(ValueError, match="lo < hi"):
             build_ladder(2, 3, action_dim=1, bounds=(1.0, float("nan")))
 
+    @pytest.mark.parametrize("bounds, dim", [((-np.inf, np.inf), 1), ((0.0, np.inf), 1),
+                                             ([(-1.0, 1.0), (-np.inf, 0.0)], 2)])
+    def test_infinite_bound_rejected(self, bounds, dim):
+        # an infinite interval would make its interior grid values nan
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            build_ladder(2, 3, action_dim=dim, bounds=bounds)
+
 
 class TestBinValue:
     def test_three_bins(self):

@@ -114,6 +114,20 @@ class TestTdTarget:
         y_pure = agent_pure.td_target(single_batch(reward=0.0, discount=1.0))
         assert y_pure[0] == 5.0  # literal target-net max
 
+    def test_pure_target_max_td_target_forwards_target_net_only(self, monkeypatch):
+        agent = make_table_agent(np.array([[0.0, 10.0]]), 2, 2,
+                                 target_table=np.array([[5.0, 1.0]]), pure_target_max=True)
+        real_forward, calls = nets.forward, []
+
+        def spy_forward(net, inputs):
+            calls.append("online" if net is agent.online_net else "target")
+            return real_forward(net, inputs)
+
+        monkeypatch.setattr(nets, "forward", spy_forward)
+        y = agent.td_target(single_batch(reward=0.0, discount=1.0))
+        assert calls == ["target"]
+        assert y[0] == 5.0
+
     def test_target_stationarity(self):
         rng = np.random.default_rng(1)
         table = rng.normal(size=(2, 5)) * 10

@@ -1,8 +1,13 @@
 import json
+import os
+import time
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gqn import harness
 from gqn.blob import load_blob
 from gqn.envs import make_env
 from gqn.harness import (
@@ -267,9 +272,38 @@ class TestSweep:
         assert aggregate["good"]["errors"] == {}
         assert "0" in aggregate["bad"]["errors"]
 
+    def test_dead_worker_recorded_other_cells_kept(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_sweep_cell", cell_or_dead_worker)
+        cfg = tiny_config(name="c", seeds=(0, 1, 2))
+        aggregate = sweep([cfg], parallel_workers=2, out_dir=tmp_path / "sweep")
+        entry = aggregate["c"]
+        assert list(entry["errors"]) == ["1"]
+        assert entry["errors"]["1"].startswith("BrokenProcessPool")
+        assert entry["final_mean_return"] == 0.5  # the mean of seeds 0 and 2
+        assert json.loads((tmp_path / "sweep" / "aggregate.json").read_text()) == aggregate
+
     def test_empty_sweep_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             sweep([], parallel_workers=1, out_dir=tmp_path)
+
+
+def cell_or_dead_worker(config_dict: dict, seed: int, cell_dir: str):
+    """_sweep_cell stand-in: seed 1's worker process dies once the other
+    cells have returned; the others return one row each."""
+    cell = Path(cell_dir)
+    if seed == 1:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and \
+                not all((cell.parent / f"seed_{s}" / "done").exists() for s in (0, 2)):
+            time.sleep(0.01)
+        time.sleep(0.5)  # let the other workers hand their results back
+        os._exit(1)
+    cell.mkdir(parents=True)
+    (cell / "done").touch()
+    row = EvalRow(env_steps=500, episode=0, eval_mean_return=float(seed) / 2, eval_std=0.0,
+                  active_bins=2, epsilon=1.0, loss=0.0, R=0.0, P=0.0, abs_a=0.0, abs_da=0.0,
+                  SM=0.0)
+    return {"rows": [asdict(row)], "error": None}
 
 
 class TestRadar:
