@@ -5,12 +5,11 @@ coarse grid is an exact value subset of every finer one. The mask decides
 which full-grid bins are currently selectable; decode() enforces it.
 """
 
-from gqn.actions import (MaskViolationError, active_indices, bin_values, build_ladder, decode,
-                         grow)
+from gqn.actions import MaskViolationError, active_indices, build_ladder, decode, grow
 
 ladder = build_ladder(min_bins=2, max_bins=9, action_dim=1)
 print(f"ladder levels: {ladder.level_bins}")
-grid = bin_values(ladder)[0]
+grid = ladder.values[0]
 print(f"full 9-bin grid: {grid.tolist()}\n")
 
 while True:

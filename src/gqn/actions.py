@@ -116,11 +116,6 @@ def build_ladder(min_bins: int, max_bins: int, action_dim: int, bounds=(-1.0, 1.
     )
 
 
-def bin_values(ladder: ResolutionLadder) -> np.ndarray:
-    """Full-resolution grid values, shape (action_dim, full_bins), read-only."""
-    return ladder.values
-
-
 def active_indices(ladder: ResolutionLadder) -> np.ndarray:
     """Full-grid indices selectable at the current level (same for every dim)."""
     return np.arange(ladder.active_bins, dtype=np.int64) * ladder.stride

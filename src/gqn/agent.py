@@ -109,7 +109,7 @@ class GqnAgent:
         self.target_net = self.online_net.clone()
         self.adam = nets.init_adam(self.online_net, hyper.learning_rate,
                                    hyper.adam_beta1, hyper.adam_beta2, hyper.adam_epsilon)
-        self._grads = nets.NetGrads.zeros_like(self.online_net)  # train_step's backward buffer
+        self._grads = self.online_net.zeros_like()  # train_step's backward buffer
         self.explore_rng = np.random.default_rng(int(seeds[1]))
         self.replay = PrioritizedReplay(hyper.replay_capacity, alpha=hyper.per_alpha,
                                         eps_priority=hyper.per_eps, seed=int(seeds[2]))
@@ -225,13 +225,11 @@ class GqnAgent:
         meta_online, arrays = nets.net_state(self.online_net, self.adam, prefix="online_")
         meta_target, arrays_t = nets.net_state(self.target_net, prefix="target_")
         arrays.update(arrays_t)
-        hyper = asdict(self.hyper)
-        hyper["hidden_dims"] = list(self.hyper.hidden_dims)
         meta = {
             "obs_dim": self.obs_dim,
             "online": meta_online,
             "target": meta_target,
-            "hyper": hyper,
+            "hyper": asdict(self.hyper),
             "ladder": {
                 "action_dim": self.ladder.action_dim,
                 "min_bins": self.ladder.level_bins[0],
@@ -253,9 +251,7 @@ class GqnAgent:
         """Returns (agent, extra_meta). Replay contents are not part of the
         agent checkpoint; the harness snapshots them separately for resume."""
         meta, arrays = load_blob(path)
-        hyper_dict = dict(meta["hyper"])
-        hyper_dict["hidden_dims"] = tuple(hyper_dict["hidden_dims"])
-        hyper = Hyperparams(**hyper_dict)
+        hyper = Hyperparams(**meta["hyper"])
         lad = meta["ladder"]
         bounds = np.stack([lad["bounds_lo"], lad["bounds_hi"]], axis=1)
         ladder = build_ladder(lad["min_bins"], lad["max_bins"], lad["action_dim"], bounds)

@@ -58,11 +58,16 @@ def save_blob(path: str | Path, meta: dict, arrays: dict[str, np.ndarray]) -> st
 def load_blob(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a file written by save_blob; returns (meta, arrays)."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint container (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        preamble = fh.read(12)  # magic, then the header's byte length
+        if preamble[:4] != _MAGIC:
+            raise ValueError(f"{path}: not a checkpoint container (bad magic {preamble[:4]!r})")
+        if len(preamble) < 12:
+            raise ValueError(f"{path}: cut inside the 12-byte preamble")
+        (header_len,) = struct.unpack_from("<Q", preamble, 4)
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
+            raise ValueError(f"{path}: cut inside the {header_len}-byte header")
+        header = json.loads(raw.decode("utf-8"))
         arrays: dict[str, np.ndarray] = {}
         for entry in header["arrays"]:
             dtype = entry["dtype"]

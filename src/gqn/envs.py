@@ -22,7 +22,6 @@ class EnvSpec:
     dt: float
     horizon: int
     level: str  # "torque" | "velocity"
-    control_scale: tuple[float, ...]
 
 
 class Environment:
@@ -79,8 +78,7 @@ class PendulumSwingup(Environment):
 
     def __init__(self):
         super().__init__()
-        self.spec = EnvSpec(obs_dim=3, action_dim=1, dt=0.05, horizon=500,
-                            level="torque", control_scale=(self.TORQUE_SCALE,))
+        self.spec = EnvSpec(obs_dim=3, action_dim=1, dt=0.05, horizon=500, level="torque")
         self.theta = math.pi
         self.theta_dot = 0.0
 
@@ -127,8 +125,7 @@ class CartpoleSwingup(Environment):
 
     def __init__(self):
         super().__init__()
-        self.spec = EnvSpec(obs_dim=5, action_dim=1, dt=0.02, horizon=500,
-                            level="torque", control_scale=(self.FORCE_SCALE,))
+        self.spec = EnvSpec(obs_dim=5, action_dim=1, dt=0.02, horizon=500, level="torque")
         self.x = 0.0
         self.x_dot = 0.0
         self.theta = math.pi  # measured from upright
@@ -181,9 +178,8 @@ class PointMassND(Environment):
             raise ValueError(f"action_dim must be >= 1, got {action_dim}")
         if level not in ("torque", "velocity"):
             raise ValueError(f"level must be 'torque' or 'velocity', got {level!r}")
-        scale = 1.0 if level == "torque" else 0.5
         self.spec = EnvSpec(obs_dim=3 * action_dim, action_dim=action_dim, dt=0.05,
-                            horizon=300, level=level, control_scale=(scale,) * action_dim)
+                            horizon=300, level=level)
         self.pos = np.zeros(action_dim)
         self.vel = np.zeros(action_dim)
         self.target = np.zeros(action_dim)

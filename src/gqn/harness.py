@@ -93,10 +93,7 @@ class RunConfig:
         unknown = set(self.hyper_overrides) - valid
         if unknown:
             raise ValueError(f"unknown hyper keys: {sorted(unknown)}")
-        kwargs = dict(self.hyper_overrides)
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        return Hyperparams(seed=seed, **kwargs)
+        return Hyperparams(seed=seed, **self.hyper_overrides)
 
     def to_dict(self) -> dict:
         """JSON-ready form: ladder fields nest under "ladder", the hyper

@@ -8,7 +8,7 @@ views into it, so a whole-model update is a handful of numpy calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -17,44 +17,49 @@ class DivergenceError(RuntimeError):
     """NaN or Inf appeared where the training math requires finite values."""
 
 
-def _pack(weights, biases, flat=None):
-    """One float64 buffer laid out w0, b0, w1, b1, ... with per-layer views.
+def layer_views(layer_dims, flat: np.ndarray):
+    """Per-layer (weights, biases) views of a flat buffer laid out w0, b0, w1, b1, ...
 
-    Returns (flat, weight views, bias views); writes through a view change
-    the buffer, so whole-model updates run once over `flat`. Without `flat`
-    a new buffer holds copies of the arrays; with it, only their shapes are
-    used.
+    weights[k] has shape (layer_dims[k+1], layer_dims[k]) and biases[k]
+    (layer_dims[k+1],). Writes through a view change the buffer, so a
+    whole-model update runs once over `flat`.
     """
-    if len(weights) != len(biases):
-        raise ValueError(f"{len(weights)} weight arrays but {len(biases)} bias arrays")
-    arrays = [a for pair in zip(weights, biases) for a in pair]
-    if flat is None:
-        flat = np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
-    elif flat.size != sum(a.size for a in arrays):
-        raise ValueError(f"buffer of {flat.size} values does not fit the arrays")
-    views, offset = [], 0
-    for a in arrays:
-        views.append(flat[offset:offset + a.size].reshape(a.shape))
-        offset += a.size
-    return flat, views[0::2], views[1::2]
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(flat[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset:offset + fan_out])
+        offset += fan_out
+    if flat.shape != (offset,):
+        raise ValueError(f"buffer of shape {flat.shape} does not fit layer dims {layer_dims}")
+    return weights, biases
 
 
 @dataclass
 class DenseNet:
+    """Parameters in one flat float64 buffer; weights and biases are its layer_views.
+
+    Gradients use the same class: a net-shaped buffer of partial derivatives.
+    """
+
     layer_dims: tuple[int, ...]
-    weights: list[np.ndarray]  # weights[k] has shape (layer_dims[k+1], layer_dims[k])
-    biases: list[np.ndarray]
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    flat: np.ndarray = field(repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases)
+        self.weights, self.biases = layer_views(self.layer_dims, self.flat)
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
     def clone(self) -> "DenseNet":
-        return replace(self)  # __post_init__ packs copies of the parameters
+        return DenseNet(self.layer_dims, self.flat.copy())
+
+    def zeros_like(self) -> "DenseNet":
+        # np.zeros leaves its pages unmapped until first written.
+        return DenseNet(self.layer_dims, np.zeros(self.flat.size))
 
 
 @dataclass
@@ -71,44 +76,16 @@ class ForwardCache:
 
 
 @dataclass
-class NetGrads:
-    """Gradients laid out like DenseNet: views into one flat buffer."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    flat: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.weights, self.biases = _pack(self.weights, self.biases, self.flat)
-
-    @classmethod
-    def zeros_like(cls, net: DenseNet) -> "NetGrads":
-        # np.zeros leaves its pages unmapped until first written.
-        return cls(net.weights, net.biases, flat=np.zeros(net.flat.size))
-
-
-@dataclass
 class AdamState:
-    """Adam moments; m_* and v_* are views into the flat buffers m and v."""
+    """Adam's scalars and its moments m and v, each one buffer laid out like the net's."""
 
-    m_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    v_biases: list[np.ndarray]
     step_count: int
     learning_rate: float
     beta1: float
     beta2: float
     epsilon: float
-    m: np.ndarray | None = field(default=None, repr=False, compare=False)
-    v: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.m, self.m_weights, self.m_biases = _pack(self.m_weights, self.m_biases, self.m)
-        self.v, self.v_weights, self.v_biases = _pack(self.v_weights, self.v_biases, self.v)
-
-    def clone(self) -> "AdamState":
-        return replace(self, m=None, v=None)  # without buffers, __post_init__ packs copies
+    m: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
 
 
 def init_net(layer_dims, seed) -> DenseNet:
@@ -120,12 +97,12 @@ def init_net(layer_dims, seed) -> DenseNet:
     if any(d < 1 for d in dims):
         raise ValueError(f"all layer dims must be >= 1, got {dims}")
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(layer_dims=dims, weights=weights, biases=biases)
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+    net = DenseNet(dims, np.zeros(size))
+    for w in net.weights:
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def forward(net: DenseNet, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -148,10 +125,11 @@ def forward(net: DenseNet, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache
 
 
 def backward(net: DenseNet, cache: ForwardCache, output_grads: np.ndarray,
-             out: NetGrads | None = None) -> NetGrads:
+             out: DenseNet | None = None) -> DenseNet:
     """Exact gradients of sum(outputs * output_grads) w.r.t. all parameters.
 
-    Written into `out` when given (laid out like `net`), else into fresh arrays.
+    Written into `out` when given (a buffer laid out like `net`, such as
+    net.zeros_like()), else into a fresh one.
     """
     if len(cache.pre_activations) != net.num_layers:
         raise ValueError("cache does not match network depth")
@@ -165,7 +143,7 @@ def backward(net: DenseNet, cache: ForwardCache, output_grads: np.ndarray,
         if cache.pre_activations[k].shape[1] != net.layer_dims[k + 1]:
             raise ValueError("stale cache: layer widths do not match network")
     if out is None:
-        out = NetGrads.zeros_like(net)
+        out = net.zeros_like()
     delta = gout
     for k in range(net.num_layers - 1, -1, -1):
         a_prev = cache.inputs if k == 0 else cache.post_activations[k - 1]
@@ -207,30 +185,16 @@ def huber_loss_and_grad(pred, target, delta, sample_weights=None):
 
 
 def init_adam(net: DenseNet, learning_rate=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8) -> AdamState:
-    m, v = NetGrads.zeros_like(net), NetGrads.zeros_like(net)
-    return AdamState(
-        m_weights=m.weights,
-        m_biases=m.biases,
-        v_weights=v.weights,
-        v_biases=v.biases,
-        m=m.flat,
-        v=v.flat,
-        step_count=0,
-        learning_rate=float(learning_rate),
-        beta1=float(beta1),
-        beta2=float(beta2),
-        epsilon=float(epsilon),
-    )
+    return AdamState(step_count=0, learning_rate=float(learning_rate), beta1=float(beta1),
+                     beta2=float(beta2), epsilon=float(epsilon),
+                     m=np.zeros(net.flat.size), v=np.zeros(net.flat.size))
 
 
-def adam_step(net: DenseNet, grads: NetGrads, state: AdamState) -> None:
+def adam_step(net: DenseNet, grads: DenseNet, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on net and state."""
-    for g, w in zip(grads.weights, net.weights):
-        if g.shape != w.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match weights {w.shape}")
+    if grads.layer_dims != net.layer_dims:
+        raise ValueError(f"gradient layer dims {grads.layer_dims} do not match net {net.layer_dims}")
     g = grads.flat
-    if g.shape != net.flat.shape:
-        raise ValueError(f"gradient size {g.size} does not match parameter size {net.flat.size}")
     if not np.isfinite(g).all():
         raise DivergenceError("non-finite gradient; update rejected")
     state.step_count += 1
@@ -258,49 +222,39 @@ def copy_params(src: DenseNet, dst: DenseNet) -> None:
 
 
 def net_state(net: DenseNet, adam: AdamState | None = None, prefix: str = ""):
-    """Flatten net (and optionally Adam) into (meta, arrays) for a blob."""
+    """Name the per-layer views of net (and optionally Adam) as (meta, arrays) for a blob."""
     meta = {"layer_dims": list(net.layer_dims)}
     arrays: dict[str, np.ndarray] = {}
     for k in range(net.num_layers):
         arrays[f"{prefix}w{k}"] = net.weights[k]
         arrays[f"{prefix}b{k}"] = net.biases[k]
     if adam is not None:
-        meta["adam"] = {
-            "step_count": adam.step_count,
-            "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
-        }
+        meta["adam"] = {f.name: getattr(adam, f.name) for f in fields(adam)
+                        if f.name not in ("m", "v")}  # the scalars, in field order
+        m_weights, m_biases = layer_views(net.layer_dims, adam.m)
+        v_weights, v_biases = layer_views(net.layer_dims, adam.v)
         for k in range(net.num_layers):
-            arrays[f"{prefix}adam_mw{k}"] = adam.m_weights[k]
-            arrays[f"{prefix}adam_mb{k}"] = adam.m_biases[k]
-            arrays[f"{prefix}adam_vw{k}"] = adam.v_weights[k]
-            arrays[f"{prefix}adam_vb{k}"] = adam.v_biases[k]
+            arrays[f"{prefix}adam_mw{k}"] = m_weights[k]
+            arrays[f"{prefix}adam_mb{k}"] = m_biases[k]
+            arrays[f"{prefix}adam_vw{k}"] = v_weights[k]
+            arrays[f"{prefix}adam_vb{k}"] = v_biases[k]
     return meta, arrays
 
 
 def net_from_state(meta: dict, arrays: dict[str, np.ndarray], prefix: str = ""):
     """Inverse of net_state. Returns (net, adam-or-None)."""
     dims = tuple(int(d) for d in meta["layer_dims"])
-    n_layers = len(dims) - 1
-    net = DenseNet(
-        layer_dims=dims,
-        weights=[arrays[f"{prefix}w{k}"] for k in range(n_layers)],
-        biases=[arrays[f"{prefix}b{k}"] for k in range(n_layers)],
-    )
+
+    def flat(w_name: str, b_name: str) -> np.ndarray:  # w0, b0, w1, b1, ...
+        names = (f"{prefix}{name}{k}" for k in range(len(dims) - 1) for name in (w_name, b_name))
+        return np.concatenate([arrays[name] for name in names], axis=None, dtype=np.float64)
+
+    net = DenseNet(dims, flat("w", "b"))
     adam = None
     if "adam" in meta:
-        a = meta["adam"]
-        adam = AdamState(
-            m_weights=[arrays[f"{prefix}adam_mw{k}"] for k in range(n_layers)],
-            m_biases=[arrays[f"{prefix}adam_mb{k}"] for k in range(n_layers)],
-            v_weights=[arrays[f"{prefix}adam_vw{k}"] for k in range(n_layers)],
-            v_biases=[arrays[f"{prefix}adam_vb{k}"] for k in range(n_layers)],
-            step_count=int(a["step_count"]),
-            learning_rate=float(a["learning_rate"]),
-            beta1=float(a["beta1"]),
-            beta2=float(a["beta2"]),
-            epsilon=float(a["epsilon"]),
-        )
+        adam = AdamState(**meta["adam"], m=flat("adam_mw", "adam_mb"),
+                         v=flat("adam_vw", "adam_vb"))
+    _, views = net_state(net, adam, prefix)  # the names and shapes the arrays must have
+    if any(arrays[name].shape != view.shape for name, view in views.items()):
+        raise ValueError(f"stored {prefix}* array shapes do not fit layer dims {dims}")
     return net, adam

@@ -4,7 +4,6 @@ import pytest
 from gqn.actions import (
     MaskViolationError,
     active_indices,
-    bin_values,
     build_ladder,
     decode,
     grow,
@@ -36,7 +35,7 @@ class TestBuildLadder:
 
     def test_per_dimension_bounds(self):
         ladder = build_ladder(2, 3, action_dim=2, bounds=[[-1.0, 1.0], [0.0, 4.0]])
-        grid = bin_values(ladder)
+        grid = ladder.values
         assert grid[0].tolist() == [-1.0, 0.0, 1.0]
         assert grid[1].tolist() == [0.0, 2.0, 4.0]
 
@@ -59,29 +58,29 @@ class TestBuildLadder:
 class TestBinValue:
     def test_three_bins(self):
         ladder = build_ladder(3, 3, action_dim=1)
-        assert bin_values(ladder)[0].tolist() == [-1.0, 0.0, 1.0]
+        assert ladder.values[0].tolist() == [-1.0, 0.0, 1.0]
 
     def test_five_bins(self):
         ladder = build_ladder(5, 5, action_dim=1)
-        assert bin_values(ladder)[0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+        assert ladder.values[0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
 
     def test_bang_bang(self):
         ladder = build_ladder(2, 2, action_dim=1)
-        assert bin_values(ladder)[0].tolist() == [-1.0, 1.0]
+        assert ladder.values[0].tolist() == [-1.0, 1.0]
 
     def test_endpoints_exact(self):
         ladder = build_ladder(2, 65, action_dim=1, bounds=(-0.3, 0.7))
-        assert bin_values(ladder)[0, 0] == -0.3
-        assert bin_values(ladder)[0, 64] == 0.7
+        assert ladder.values[0, 0] == -0.3
+        assert ladder.values[0, 64] == 0.7
 
     def test_out_of_range(self):
         ladder = build_ladder(2, 9, action_dim=1)
         with pytest.raises(IndexError):
-            bin_values(ladder)[0, 9]
+            ladder.values[0, 9]
         with pytest.raises(IndexError):
-            bin_values(ladder)[1, 0]
+            ladder.values[1, 0]
         with pytest.raises(ValueError):  # the cached grid is shared, so read-only
-            bin_values(ladder)[0, 0] = 0.0
+            ladder.values[0, 0] = 0.0
 
 
 class TestActiveMask:
@@ -177,7 +176,7 @@ class TestDecode:
 class TestNestingInvariants:
     def test_values_nest_exactly(self):
         ladder = build_ladder(2, 65, action_dim=1)
-        grid = bin_values(ladder)[0]
+        grid = ladder.values[0]
         previous = {grid[i] for i in active_indices(ladder)}
         while True:
             ladder, grew = grow(ladder)

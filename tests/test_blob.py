@@ -3,6 +3,7 @@ of damaged files, and atomic replacement."""
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -66,6 +67,13 @@ def test_truncated_payload_rejected(blob_file):
     data = blob_file.read_bytes()
     blob_file.write_bytes(data[:-1])
     with pytest.raises(ValueError, match="truncated payload for array 'b'"):
+        load_blob(blob_file)
+
+
+@pytest.mark.parametrize("length", [6, 20])  # inside the 12-byte preamble, inside the header
+def test_cut_header_rejected(blob_file, length):
+    blob_file.write_bytes(blob_file.read_bytes()[:length])
+    with pytest.raises(ValueError, match=re.escape(f"{blob_file}: cut inside the")):
         load_blob(blob_file)
 
 

@@ -1,4 +1,6 @@
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gqn.nets import (
     huber_loss_and_grad,
     init_adam,
     init_net,
+    layer_views,
     net_from_state,
     net_state,
 )
@@ -226,10 +229,9 @@ class TestHuber:
 
 
 def _grads_like(net, fill):
-    from gqn.nets import NetGrads
-
-    return NetGrads(weights=[np.full_like(w, fill) for w in net.weights],
-                    biases=[np.full_like(b, fill) for b in net.biases])
+    grads = net.zeros_like()
+    grads.flat[:] = fill
+    return grads
 
 
 class TestAdam:
@@ -255,7 +257,7 @@ class TestAdam:
         net1 = init_net([3, 4, 2], seed=9)
         net2 = net1.clone()
         s1 = init_adam(net1, learning_rate=1e-3)
-        s2 = s1.clone()
+        s2 = copy.deepcopy(s1)
         rng = np.random.default_rng(0)
         grads = _grads_like(net1, 0.0)
         for g in grads.weights + grads.biases:
@@ -324,6 +326,47 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert loaded_state.step_count == state.step_count
         assert loaded_state.learning_rate == state.learning_rate
-        for a, b in zip(loaded_state.m_weights + loaded_state.v_weights,
-                        state.m_weights + state.v_weights):
-            assert np.array_equal(a, b)
+        assert loaded_state.m.tobytes() == state.m.tobytes()
+        assert loaded_state.v.tobytes() == state.v.tobytes()
+
+    @pytest.mark.parametrize("name", ["w0", "adam_vw1"])
+    def test_misshapen_array_rejected(self, name):
+        net = init_net([3, 5, 2], seed=1)
+        meta, arrays = net_state(net, init_adam(net))
+        arrays[name] = arrays[name].T  # same size, wrong shape
+        with pytest.raises(ValueError, match="shapes do not fit layer dims"):
+            net_from_state(meta, arrays)
+
+    def test_container_layout(self, tmp_path):
+        """The names, order and shapes net_state writes, which checkpoint.bin
+        stores and bench/checks.py reads by name, and a bit-exact round trip."""
+        net = init_net([3, 5, 2], seed=1)
+        state = init_adam(net, learning_rate=2e-4)
+        grads = net.zeros_like()
+        grads.flat[:] = np.random.default_rng(2).normal(size=grads.flat.size)
+        adam_step(net, grads, state)
+        meta, arrays = net_state(net, state, prefix="online_")
+        assert list(meta) == ["layer_dims", "adam"]
+        assert meta["layer_dims"] == [3, 5, 2]
+        assert list(meta["adam"]) == ["step_count", "learning_rate", "beta1", "beta2", "epsilon"]
+        assert [(name, a.shape) for name, a in arrays.items()] == [
+            ("online_w0", (5, 3)), ("online_b0", (5,)), ("online_w1", (2, 5)), ("online_b1", (2,)),
+            ("online_adam_mw0", (5, 3)), ("online_adam_mb0", (5,)),
+            ("online_adam_vw0", (5, 3)), ("online_adam_vb0", (5,)),
+            ("online_adam_mw1", (2, 5)), ("online_adam_mb1", (2,)),
+            ("online_adam_vw1", (2, 5)), ("online_adam_vb1", (2,)),
+        ]
+        m_weights, _ = layer_views(net.layer_dims, state.m)
+        _, v_biases = layer_views(net.layer_dims, state.v)
+        assert np.array_equal(arrays["online_w1"], net.weights[1])
+        assert np.array_equal(arrays["online_b0"], net.biases[0])
+        assert np.array_equal(arrays["online_adam_mw1"], m_weights[1])
+        assert np.array_equal(arrays["online_adam_vb0"], v_biases[0])
+        path = tmp_path / "net.bin"
+        save_blob(path, meta, arrays)
+        loaded_net, loaded_state = net_from_state(*load_blob(path), prefix="online_")
+        assert loaded_net.layer_dims == net.layer_dims
+        assert loaded_net.flat.tobytes() == net.flat.tobytes()
+        assert loaded_state.m.tobytes() == state.m.tobytes()
+        assert loaded_state.v.tobytes() == state.v.tobytes()
+        assert [getattr(loaded_state, k) for k in meta["adam"]] == list(meta["adam"].values())

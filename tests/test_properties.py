@@ -7,9 +7,9 @@ from helpers import make_table_agent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqn.actions import MaskViolationError, active_indices, bin_values, build_ladder, decode, grow
+from gqn.actions import MaskViolationError, active_indices, build_ladder, decode, grow
 from gqn.agent import GqnAgent, Hyperparams
-from gqn.nets import NetGrads, adam_step, init_adam, init_net
+from gqn.nets import adam_step, init_adam, init_net, layer_views
 from gqn.replay import Batch, SumTree
 
 priority = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -83,15 +83,17 @@ def test_flat_adam_matches_per_array_reference(dims, seed, steps, lr):
     vs = [np.zeros_like(a) for a in params]
     rng = np.random.default_rng(seed)
     for t in range(1, steps + 1):
-        grads = NetGrads([rng.normal(size=w.shape) for w in net.weights],
-                         [rng.normal(size=b.shape) for b in net.biases])
+        grads = net.zeros_like()
+        for g in grads.weights + grads.biases:
+            g[:] = rng.normal(size=g.shape)
         adam_step(net, grads, state)
         reference_adam(params, grads.weights + grads.biases, ms, vs, t, lr,
                        state.beta1, state.beta2, state.epsilon)
     for got, want in zip(net.weights + net.biases, params):
         assert got.tobytes() == want.tobytes()
-    for got, want in zip(state.m_weights + state.m_biases + state.v_weights + state.v_biases,
-                         ms + vs):
+    (m_weights, m_biases), (v_weights, v_biases) = (layer_views(net.layer_dims, buf)
+                                                    for buf in (state.m, state.v))
+    for got, want in zip(m_weights + m_biases + v_weights + v_biases, ms + vs):
         assert got.tobytes() == want.tobytes()
 
 
@@ -117,7 +119,7 @@ def reference_decode(ladder, idx):
     active = set(active_indices(ladder).tolist())
     if len(idx) != ladder.action_dim or not all(i in active for i in idx):
         return None
-    return np.array([bin_values(ladder)[d, i] for d, i in enumerate(idx)])
+    return np.array([ladder.values[d, i] for d, i in enumerate(idx)])
 
 
 @given(st.data())
